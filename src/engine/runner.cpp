@@ -583,6 +583,18 @@ io::Table ResultSet::to_table(const std::vector<Column>& extras,
   return table;
 }
 
+std::string ResultSet::render(const std::string& format) const {
+  if (format == "csv") return to_csv();
+  if (format == "json") return to_json();
+  if (format == "table") {
+    std::ostringstream os;
+    to_table().print(os);
+    return os.str();
+  }
+  throw std::invalid_argument("format must be csv, json or table, got '" +
+                              format + "'");
+}
+
 ResultSet run_scenarios(const std::vector<WorkItem>& work,
                         RunnerOptions options) {
   const std::size_t n = work.size();
@@ -603,7 +615,9 @@ ResultSet run_scenarios(const std::vector<WorkItem>& work,
         // Chaos site: an `error` action lands in this catch and
         // surfaces through ResultSet like any scenario failure.
         RV_FAILPOINT_AT("runner.work.item", i);
-        RunRecord rec;
+        // Value-initialised: components-only records never run their
+        // scenario, yet emit outcome fields such as `feasible`.
+        RunRecord rec{};
         rec.family = item.family;
         rec.label = item.label;
         switch (item.family) {

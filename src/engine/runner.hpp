@@ -187,6 +187,9 @@ class ResultSet {
   /// io::Table with the standard + extra columns (for console reports).
   [[nodiscard]] io::Table to_table(const std::vector<Column>& extras = {},
                                    int precision = 4) const;
+  /// The document in `format`: "csv", "json" or "table" (the printed
+  /// `to_table`).  \throws std::invalid_argument on any other format.
+  [[nodiscard]] std::string render(const std::string& format) const;
 
  private:
   /// The single family of the records; \throws std::logic_error when

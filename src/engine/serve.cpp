@@ -15,6 +15,7 @@
 
 #include "engine/failpoint.hpp"
 #include "engine/set_decl.hpp"
+#include "engine/set_registry.hpp"
 #include "engine/shard.hpp"
 
 namespace rv::engine::serve {
@@ -184,18 +185,6 @@ bool parse_json_bool(Cursor& c) {
     return false;
   }
   parse_fail("expected true or false");
-}
-
-std::string render(const ResultSet& results, const std::string& format) {
-  if (format == "csv") return results.to_csv();
-  if (format == "json") return results.to_json();
-  if (format == "table") {
-    std::ostringstream os;
-    results.to_table().print(os);
-    return os.str();
-  }
-  throw ServeError("parse",
-                   "'format' must be csv, json or table, got '" + format + "'");
 }
 
 /// File-name-safe set name for per-set persistence files.
@@ -593,6 +582,14 @@ void Service::worker_loop() {
 }
 
 std::string Service::execute(const Request& request) {
+  const auto fail = [&](const std::string& code, const char* message) {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      counters_.errors += 1;
+      if (code == "deadline") counters_.expired += 1;
+    }
+    return error_frame(request.id, code, message);
+  };
   try {
     RV_FAILPOINT_AT("serve.dispatch", request.seq);
     Reply reply = execute_run(request);
@@ -624,36 +621,13 @@ std::string Service::execute(const Request& request) {
     header << '}';
     return frame(header.str(), reply.payload, true);
   } catch (const ServeError& error) {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      counters_.errors += 1;
-      if (error.code() == "deadline") counters_.expired += 1;
-    }
-    return error_frame(request.id, error.code(), error.what());
-  } catch (const failpoint::FailpointError& error) {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      counters_.errors += 1;
-    }
-    return error_frame(request.id, "failed", error.what());
+    return fail(error.code(), error.what());
   } catch (const SetDeclError& error) {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      counters_.errors += 1;
-    }
-    return error_frame(request.id, "bad-set", error.what());
+    return fail("bad-set", error.what());
   } catch (const std::invalid_argument& error) {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      counters_.errors += 1;
-    }
-    return error_frame(request.id, "bad-set", error.what());
+    return fail("bad-set", error.what());
   } catch (const std::exception& error) {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      counters_.errors += 1;
-    }
-    return error_frame(request.id, "failed", error.what());
+    return fail("failed", error.what());
   }
 }
 
@@ -667,22 +641,13 @@ Service::Reply Service::execute_run(const Request& request) {
                          " ms expired before dispatch (queue wait)");
   }
 
-  ScenarioSet set;
-  std::string name;
-  if (!request.set.empty()) {
-    if (!options_.resolver) {
-      throw ServeError("bad-set",
-                       "this service resolves no named sets; send an inline "
-                       ".rvset body instead");
-    }
-    set = options_.resolver(request.set);
-    name = request.set;
-  } else {
-    SetDecl decl = parse_set_decl(request.body);
-    set = std::move(decl.set);
-    name = decl.name.empty() ? "inline" : decl.name;
-  }
-  const std::vector<WorkItem> work = set.materialize_work();
+  // Named sets come from the parse-once registry; bodies are parsed
+  // per request.
+  SetDecl body;
+  if (request.set.empty()) body = parse_set_decl(request.body);
+  const SetDecl& decl = request.set.empty() ? body : builtin_set(request.set);
+  const std::string name = decl.name.empty() ? "inline" : decl.name;
+  const std::vector<WorkItem> work = decl.set.materialize_work();
 
   // Classify every cell against the warm cache: hits are answered from
   // memory, misses batched for dispatch.  These counts — not the warm
@@ -714,7 +679,7 @@ Service::Reply Service::execute_run(const Request& request) {
     } else {
       dispatch_forked(name, misses, miss_indices, request, &reply.missing);
     }
-    persist(name, work);
+    if (reply.missing.size() < misses.size()) persist(name, work);
   }
 
   // Warm replay of the full (or surviving) set: every computed outcome
@@ -725,22 +690,11 @@ Service::Reply Service::execute_run(const Request& request) {
   warm.cache = &cache_;
   if (reply.missing.empty()) {
     reply.kind = "ok";
-    reply.payload = render(run_scenarios(work, warm), request.format);
+    reply.payload = run_scenarios(work, warm).render(request.format);
   } else {
-    std::sort(reply.missing.begin(), reply.missing.end());
-    std::vector<WorkItem> surviving;
-    surviving.reserve(work.size() - reply.missing.size());
-    std::size_t next_missing = 0;
-    for (std::size_t i = 0; i < work.size(); ++i) {
-      if (next_missing < reply.missing.size() &&
-          reply.missing[next_missing] == i) {
-        ++next_missing;
-        continue;
-      }
-      surviving.push_back(work[i]);
-    }
     reply.kind = "partial";
-    reply.payload = render(run_scenarios(surviving, warm), request.format);
+    reply.payload = run_scenarios(without_items(work, reply.missing), warm)
+                        .render(request.format);
   }
   return reply;
 }
@@ -751,40 +705,17 @@ void Service::dispatch_forked(const std::string& set_name,
                               const Request& request,
                               std::vector<std::size_t>* missing) {
   const std::lock_guard<std::mutex> disk(disk_mutex_);
-  // Children must not touch the shared cache: another worker may hold
-  // its mutex at fork time, which would deadlock the child.  Snapshot
-  // into a fresh-mutex copy owned by this thread instead.
-  ScenarioCache warm;
-  for (auto& [key, entry] : cache_.snapshot()) {
-    warm.store(key, std::move(entry));
-  }
-  const std::size_t procs = options_.procs;
+  ForkedShards forked;
+  forked.set_name = sanitize_name(set_name) + "-serve";
+  forked.cache_dir = options_.cache_dir;
+  forked.procs = options_.procs;
+  forked.child_site = "serve.shard";
   unsigned budget = options_.threads != 0 ? options_.threads
                                           : std::thread::hardware_concurrency();
   if (budget == 0) budget = 1;
-  const unsigned child_threads =
-      std::max(1u, static_cast<unsigned>(budget / procs));
-  const std::string shard_set = sanitize_name(set_name) + "-serve";
-  const auto shard_path = [&](std::size_t p) {
-    return options_.cache_dir / shard_file_name(shard_set, p, procs);
-  };
-  const auto child_main = [&](std::size_t p) -> int {
-    RV_FAILPOINT_AT("serve.shard", p);
-    const ShardPlan plan = shard_plan(misses.size(), p, procs);
-    RunnerOptions ropts;
-    ropts.threads = child_threads;
-    ropts.cache = &warm;
-    (void)run_shard(misses, plan, ropts);
-    ScenarioCache own;
-    ScenarioCache::Entry entry;
-    for (const std::size_t i : plan.indices) {
-      const std::optional<std::string> key = cache_key(misses[i]);
-      if (key && warm.lookup(*key, &entry)) own.store(*key, entry);
-    }
-    save_cache_file(shard_path(p), own);
-    return 0;
-  };
-  SupervisorOptions sup = options_.supervisor;
+  forked.threads = std::max(1u, static_cast<unsigned>(budget / forked.procs));
+  forked.supervisor = options_.supervisor;
+  SupervisorOptions& sup = forked.supervisor;
   if (request.deadline_ms > 0.0) {
     const double remaining_ms =
         request.admitted_ms + request.deadline_ms - now_ms();
@@ -798,15 +729,20 @@ void Service::dispatch_forked(const std::string& set_name,
                           ? std::min(sup.timeout_sec, remaining_sec)
                           : remaining_sec;
   }
-  const SupervisorReport report = supervise_shards(procs, child_main, sup);
+  // Children only ever receive misses, so each starts from an empty
+  // cache — never a copy of `cache_`, whose mutex another worker may
+  // hold at fork time.
+  ScenarioCache empty;
+  const SupervisorReport report = run_forked_shards(misses, &empty, forked);
   // Fold every child's persisted outcomes back into the warm cache
   // (first-writer-wins; a failed shard's file may simply be absent).
-  for (std::size_t p = 0; p < procs; ++p) {
-    (void)load_cache_file(shard_path(p), &cache_);
+  for (std::size_t p = 0; p < forked.procs; ++p) {
+    (void)load_cache_file(
+        forked.cache_dir / shard_file_name(forked.set_name, p, forked.procs),
+        &cache_);
   }
   if (report.any_failures()) note("serve: supervisor report:\n" + report.table());
   if (report.complete()) return;
-  const std::vector<std::size_t> failed = report.failed_shards();
   bool timed_out = false;
   for (const ShardStatus& status : report.shards) {
     if (status.succeeded) continue;
@@ -815,38 +751,25 @@ void Service::dispatch_forked(const std::string& set_name,
     }
   }
   if (!request.partial) {
-    std::string list;
-    for (const std::size_t shard : failed) {
-      if (!list.empty()) list += ", ";
-      list += std::to_string(shard);
-    }
     const bool deadline_blame = timed_out && request.deadline_ms > 0.0;
     throw ServeError(deadline_blame ? "deadline" : "failed",
-                     "shards failed after retries: " + list +
+                     "shards failed after retries: " +
+                         join_indices(report.failed_shards()) +
                          " (request 'partial' to accept the surviving "
                          "subset)");
   }
-  for (std::size_t j = 0; j < miss_indices.size(); ++j) {
-    const std::size_t shard = j % procs;
-    if (std::find(failed.begin(), failed.end(), shard) != failed.end()) {
-      missing->push_back(miss_indices[j]);
-    }
+  for (const std::size_t j : report.missing_indices(misses.size())) {
+    missing->push_back(miss_indices[j]);
   }
 }
 
 void Service::persist(const std::string& set_name,
                       const std::vector<WorkItem>& work) {
   if (options_.cache_dir.empty()) return;
-  ScenarioCache own;
-  ScenarioCache::Entry entry;
-  for (const WorkItem& item : work) {
-    const std::optional<std::string> key = cache_key(item);
-    if (key && cache_.lookup(*key, &entry)) own.store(*key, entry);
-  }
-  if (own.size() == 0) return;
   const std::lock_guard<std::mutex> disk(disk_mutex_);
-  save_cache_file(
-      options_.cache_dir / (sanitize_name(set_name) + "-serve.rvcache"), own);
+  (void)save_owned_outcomes(
+      options_.cache_dir / (sanitize_name(set_name) + "-serve.rvcache"), work,
+      shard_plan(work.size(), 0, 1), cache_);
 }
 
 void Service::compactor_loop() {

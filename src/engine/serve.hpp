@@ -32,8 +32,9 @@
 ///   * `op`          — "run" | "status" | "shutdown" (required);
 ///   * `id`          — string echoed in the reply (defaults to the
 ///                     admission sequence number);
-///   * `set`         — a set name resolved by `ServeOptions::resolver`
-///                     (rv_serve installs the rv_batch built-ins);
+///   * `set`         — the name of a built-in set
+///                     (engine/set_registry.hpp, the same sets as
+///                     `rv_batch run --set`);
 ///   * `body_bytes`  — exactly this many raw bytes of `.rvset`
 ///                     declaration text follow the header line, then
 ///                     one terminating LF (exclusive with `set`);
@@ -119,7 +120,7 @@ enum class Op : std::uint8_t { kRun, kStatus, kShutdown };
 struct Request {
   Op op = Op::kRun;
   std::string id;           ///< echoed; defaulted to the admission sequence
-  std::string set;          ///< named set (resolver), exclusive with body
+  std::string set;          ///< built-in set name, exclusive with body
   bool has_body = false;    ///< header declared `body_bytes`
   std::size_t body_bytes = 0;
   std::string body;         ///< raw `.rvset` declaration text
@@ -181,7 +182,8 @@ struct Options {
   /// outcomes back as `*.rvcache` shard files).
   std::size_t procs = 1;
   /// Persistent cache directory: warm-loaded at construction, misses
-  /// persisted back after each run.  Empty disables persistence.
+  /// persisted back after each run into `<set>-serve.rvcache`, merged
+  /// with what that file already holds.  Empty disables persistence.
   std::filesystem::path cache_dir;
   /// When > 0, a timer thread runs `compact_cache_dir(cache_dir,
   /// compact)` every this-many seconds.
@@ -192,10 +194,6 @@ struct Options {
   /// Supervision of forked dispatch (retries/backoff); a request
   /// deadline overrides `timeout_sec` with its remaining budget.
   SupervisorOptions supervisor;
-  /// Resolves `"set":NAME` requests to a declaration.  Throws
-  /// std::invalid_argument for unknown names (replied as `bad-set`).
-  /// Null rejects every named-set request.
-  std::function<ScenarioSet(const std::string&)> resolver;
   /// Optional diagnostic sink (rv_serve wires stderr).  Never receives
   /// payload bytes.
   std::function<void(const std::string&)> log;

@@ -1,5 +1,7 @@
 #include "engine/shard.hpp"
 
+#include <algorithm>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -9,25 +11,6 @@
 #include "engine/failpoint.hpp"
 
 namespace rv::engine {
-
-namespace {
-
-/// "1, 4, 7" for small lists; elides the tail past `cap` so a merge
-/// missing thousands of items stays one readable line.
-std::string join_indices(const std::vector<std::size_t>& indices,
-                         std::size_t cap = 16) {
-  std::string out;
-  for (std::size_t k = 0; k < indices.size() && k < cap; ++k) {
-    if (k > 0) out += ", ";
-    out += std::to_string(indices[k]);
-  }
-  if (indices.size() > cap) {
-    out += ", ... (" + std::to_string(indices.size() - cap) + " more)";
-  }
-  return out;
-}
-
-}  // namespace
 
 ShardPlan shard_plan(std::size_t total, std::size_t shard,
                      std::size_t num_shards) {
@@ -62,6 +45,18 @@ std::vector<WorkItem> shard_work(const std::vector<WorkItem>& work,
   return subset;
 }
 
+std::vector<WorkItem> without_items(const std::vector<WorkItem>& work,
+                                    const std::vector<std::size_t>& dropped) {
+  std::vector<WorkItem> kept;
+  kept.reserve(work.size());
+  for (std::size_t i = 0; i < work.size(); ++i) {
+    if (!std::binary_search(dropped.begin(), dropped.end(), i)) {
+      kept.push_back(work[i]);
+    }
+  }
+  return kept;
+}
+
 ResultSet run_shard(const std::vector<WorkItem>& work, const ShardPlan& plan,
                     RunnerOptions options) {
   // Chaos site: lets the supervisor tests kill/delay a specific shard
@@ -75,6 +70,45 @@ std::string shard_file_name(const std::string& set_name, std::size_t shard,
   return (set_name.empty() ? std::string("<set>") : set_name) + "-shard-" +
          std::to_string(shard) + "-of-" + std::to_string(num_shards) +
          kCacheFileExtension;
+}
+
+std::size_t save_owned_outcomes(const std::filesystem::path& path,
+                                const std::vector<WorkItem>& work,
+                                const ShardPlan& plan,
+                                const ScenarioCache& cache) {
+  ScenarioCache own;
+  (void)load_cache_file(path, &own);  // absent or unreadable: start empty
+  ScenarioCache::Entry entry;
+  for (const std::size_t i : plan.indices) {
+    const std::optional<std::string> key = cache_key(work[i]);
+    if (key && cache.lookup(*key, &entry)) own.store(*key, std::move(entry));
+  }
+  save_cache_file(path, own);
+  return own.size();
+}
+
+SupervisorReport run_forked_shards(const std::vector<WorkItem>& work,
+                                   ScenarioCache* cache,
+                                   const ForkedShards& options) {
+  const auto child_main = [&](std::size_t p) -> int {
+    // Chaos site: crash/delay/error a worker at its very first
+    // instruction — the supervisor must detect and retry it.
+    RV_FAILPOINT_AT(options.child_site, p);
+    const ShardPlan plan = shard_plan(work.size(), p, options.procs);
+    RunnerOptions run_options;
+    run_options.threads = options.threads;
+    run_options.cache = cache;
+    const ResultSet results = run_shard(work, plan, run_options);
+    const std::filesystem::path file =
+        options.cache_dir /
+        shard_file_name(options.set_name, p, options.procs);
+    // A pure replay whose file exists would rewrite the same entries.
+    if (results.cache_stats().misses > 0 || !std::filesystem::exists(file)) {
+      (void)save_owned_outcomes(file, work, plan, *cache);
+    }
+    return 0;
+  };
+  return supervise_shards(options.procs, child_main, options.supervisor);
 }
 
 ResultSet merge_shards(const std::vector<ShardResult>& shards,
@@ -136,7 +170,8 @@ ResultSet merge_shards(const std::vector<ShardResult>& shards,
     }
     throw std::invalid_argument(
         "merge_shards: incomplete merge — global item indices {" +
-        join_indices(missing) + "} covered by no shard; re-drive shard file" +
+        join_indices(missing, 16) +
+        "} covered by no shard; re-drive shard file" +
         (missing_shards.size() == 1 ? "" : "s") + " " + files);
   }
   ResultSet merged(std::move(records));

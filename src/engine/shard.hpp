@@ -18,21 +18,24 @@
 ///  * in-process — `merge_shards` places each shard's records back at
 ///    their global indices (`run_sharded` is the one-call version used
 ///    by the tests to pin shard-count invariance);
-///  * cross-process — each `rv_batch run --shard s/N` process persists
-///    its computed outcomes to a cache file (engine/cache_store.hpp);
-///    the merge process loads every shard file into one
-///    `ScenarioCache` and runs the *full* set warm, replaying every
-///    outcome (all hits, no recomputation) into the single-process
-///    emission.  Cached outcomes replay bit-for-bit, so both paths
-///    produce the same bytes.
+///  * cross-process — each shard process (`rv_batch run --shard s/N`,
+///    or a child of `run_forked_shards`) persists its computed
+///    outcomes to a cache file (engine/cache_store.hpp); the merge
+///    process loads every shard file into one `ScenarioCache` and runs
+///    the *full* set warm, replaying every outcome (all hits, no
+///    recomputation) into the single-process emission.  Cached
+///    outcomes replay bit-for-bit, so both paths produce the same
+///    bytes.
 
 #include <cstddef>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "engine/families.hpp"
 #include "engine/runner.hpp"
 #include "engine/scenario_set.hpp"
+#include "engine/supervisor.hpp"
 
 namespace rv::engine {
 
@@ -61,6 +64,11 @@ struct ShardPlan {
 [[nodiscard]] std::vector<WorkItem> shard_work(
     const std::vector<WorkItem>& work, const ShardPlan& plan);
 
+/// `work` without the items at the ascending global indices `dropped`,
+/// in order: what a partial merge replays.
+[[nodiscard]] std::vector<WorkItem> without_items(
+    const std::vector<WorkItem>& work, const std::vector<std::size_t>& dropped);
+
 /// Runs only the plan's items (records come back in plan order — pass
 /// them to `merge_shards` to restore global order).
 [[nodiscard]] ResultSet run_shard(const std::vector<WorkItem>& work,
@@ -81,6 +89,36 @@ struct ShardResult {
 [[nodiscard]] std::string shard_file_name(const std::string& set_name,
                                           std::size_t shard,
                                           std::size_t num_shards);
+
+/// Saves the outcomes `cache` holds for the items `plan` owns to
+/// `path`, together with every entry the file already holds (first
+/// writer wins), published by atomic rename.  Merging the old entries
+/// means two declarations that share a file name never drop each
+/// other's persisted work.  Returns the number of entries written.
+std::size_t save_owned_outcomes(const std::filesystem::path& path,
+                                const std::vector<WorkItem>& work,
+                                const ShardPlan& plan,
+                                const ScenarioCache& cache);
+
+/// A forked, supervised run of every shard of one work list.
+struct ForkedShards {
+  std::string set_name;             ///< shard file prefix (shard_file_name)
+  std::filesystem::path cache_dir;  ///< where each child saves its file
+  std::size_t procs = 2;            ///< shards, one child each
+  unsigned threads = 1;             ///< runner threads per child
+  /// Failpoint site each child fires first (index = shard id).
+  const char* child_site = "shard.worker.start";
+  SupervisorOptions supervisor;
+};
+
+/// Forks one supervised child per shard p of `options.procs`.  Child p
+/// runs `run_shard` over plan p against its copy-on-write image of
+/// `*cache`, then saves the outcomes its plan owns to `cache_dir /
+/// shard_file_name(set_name, p, procs)`, unless it computed nothing and
+/// the file exists.  Callers load the shard files back.
+[[nodiscard]] SupervisorReport run_forked_shards(
+    const std::vector<WorkItem>& work, ScenarioCache* cache,
+    const ForkedShards& options);
 
 /// Reassembles per-shard results into the single-process `ResultSet`:
 /// every record is placed at its global index and the shards' cache

@@ -40,6 +40,19 @@ struct Slot {
 
 }  // namespace
 
+std::string join_indices(const std::vector<std::size_t>& indices,
+                         std::size_t cap) {
+  std::string out;
+  for (std::size_t k = 0; k < indices.size() && k < cap; ++k) {
+    if (k > 0) out += ", ";
+    out += std::to_string(indices[k]);
+  }
+  if (indices.size() > cap) {
+    out += ", ... (" + std::to_string(indices.size() - cap) + " more)";
+  }
+  return out;
+}
+
 const char* attempt_outcome_name(AttemptOutcome outcome) {
   switch (outcome) {
     case AttemptOutcome::kSuccess: return "success";
@@ -90,33 +103,30 @@ std::string SupervisorReport::table() const {
   return out;
 }
 
-std::string SupervisorReport::to_json(std::size_t total_items) const {
-  const std::vector<std::size_t> failed = failed_shards();
-  const auto join = [](const std::vector<std::size_t>& values) {
-    std::string list;
-    for (const std::size_t v : values) {
-      if (!list.empty()) list += ", ";
-      list += std::to_string(v);
-    }
-    return list;
-  };
+std::vector<std::size_t> SupervisorReport::missing_indices(
+    std::size_t total_items) const {
   // The strided partition (engine/shard.hpp): global item i belongs to
   // shard i % num_shards, so a failed shard's items are recoverable
   // from its id alone.
   std::vector<std::size_t> missing;
-  const std::size_t num_shards = shards.size();
-  for (std::size_t i = 0; i < total_items && num_shards > 0; ++i) {
-    if (std::find(failed.begin(), failed.end(), i % num_shards) !=
-        failed.end()) {
+  for (const std::size_t shard : failed_shards()) {
+    for (std::size_t i = shard; i < total_items; i += shards.size()) {
       missing.push_back(i);
     }
   }
+  std::sort(missing.begin(), missing.end());
+  return missing;
+}
+
+std::string SupervisorReport::to_json(std::size_t total_items) const {
+  const std::size_t num_shards = shards.size();
   std::string out = "{\n";
   out += std::string("  \"complete\": ") + (complete() ? "true" : "false");
   out += ",\n  \"num_shards\": " + std::to_string(num_shards);
   out += ",\n  \"total_items\": " + std::to_string(total_items);
-  out += ",\n  \"failed_shards\": [" + join(failed) + "]";
-  out += ",\n  \"missing_indices\": [" + join(missing) + "]";
+  out += ",\n  \"failed_shards\": [" + join_indices(failed_shards()) + "]";
+  out += ",\n  \"missing_indices\": [" +
+         join_indices(missing_indices(total_items)) + "]";
   out += ",\n  \"shards\": [\n";
   for (std::size_t s = 0; s < shards.size(); ++s) {
     const ShardStatus& shard = shards[s];

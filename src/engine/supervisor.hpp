@@ -13,10 +13,8 @@
 /// rename, and merges are first-writer-wins, so a half-done attempt
 /// leaves nothing a retry cannot overwrite.
 ///
-/// The attempt taxonomy (success / nonzero exit / signal / timeout /
-/// spawn failure) and the report shape are what `tools/rv_batch
-/// --procs` uses today and what the planned `rv_serve` admission
-/// queue will reuse (see ROADMAP.md).  Determinism note: the
+/// `run_forked_shards` (engine/shard.hpp) drives it for both `rv_batch
+/// --procs` and `rv_serve`'s forked dispatch.  Determinism note: the
 /// supervisor consults a wall clock for deadlines and backoff pacing
 /// only — nothing it measures ever feeds emitted bytes, which stay a
 /// pure function of the scenario inputs.
@@ -53,6 +51,11 @@ enum class AttemptOutcome : std::uint8_t {
 
 [[nodiscard]] const char* attempt_outcome_name(AttemptOutcome outcome);
 
+/// "1, 4, 7"; past `cap` entries the tail is elided ("..., (N more)")
+/// so a list of thousands stays one readable line.
+[[nodiscard]] std::string join_indices(const std::vector<std::size_t>& indices,
+                                       std::size_t cap = SIZE_MAX);
+
 struct ShardAttempt {
   AttemptOutcome outcome = AttemptOutcome::kSuccess;
   int code = 0;        ///< exit status / signal number / errno (see outcome)
@@ -74,6 +77,10 @@ struct SupervisorReport {
   [[nodiscard]] std::vector<std::size_t> failed_shards() const;
   /// True when any attempt failed (even if a retry recovered it).
   [[nodiscard]] bool any_failures() const;
+  /// Global indices of the `total_items` strided items (engine/shard.hpp)
+  /// that failed shards own, ascending.
+  [[nodiscard]] std::vector<std::size_t> missing_indices(
+      std::size_t total_items) const;
   /// Human-readable per-shard attempt/latency/exit-status table.
   [[nodiscard]] std::string table() const;
   /// Machine-readable coverage report: completeness, failed shards,

@@ -1,9 +1,34 @@
 #include "io/args.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 namespace rv::io {
+
+namespace {
+
+/// Parses the whole of `text` as a finite, in-range T.  \throws
+/// std::invalid_argument naming the flag and the value otherwise (not a
+/// number, trailing junk, out of range).
+template <typename T>
+T parse_number(const std::string& name, const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end ||
+      !std::isfinite(static_cast<double>(value))) {
+    throw std::invalid_argument(
+        "Args: --" + name + " expects " +
+        (std::is_integral_v<T> ? "an int" : "a finite number") + ", got '" +
+        text + "'");
+  }
+  return value;
+}
+
+}  // namespace
 
 void Args::declare(const std::string& name, const std::string& default_value,
                    const std::string& help) {
@@ -49,6 +74,9 @@ void Args::parse(int argc, const char* const* argv) {
       throw std::invalid_argument("Args: missing value for --" + name);
     }
     values_.insert_or_assign(name, std::string(argv[++i]));
+    // Numbers are checked here, where callers handle usage errors.
+    if (it->second.kind == Kind::kInt) (void)get_int(name);
+    if (it->second.kind == Kind::kDouble) (void)get_double(name);
   }
 }
 
@@ -79,25 +107,15 @@ std::string Args::get(const std::string& name) const {
 double Args::get_double(const std::string& name) const {
   const Spec& spec = spec_for(name, Kind::kDouble);
   const auto it = values_.find(name);
-  const std::string& text = it != values_.end() ? it->second : spec.default_value;
-  std::size_t pos = 0;
-  const double v = std::stod(text, &pos);
-  if (pos != text.size()) {
-    throw std::invalid_argument("Args: malformed number for --" + name);
-  }
-  return v;
+  return parse_number<double>(
+      name, it != values_.end() ? it->second : spec.default_value);
 }
 
 int Args::get_int(const std::string& name) const {
   const Spec& spec = spec_for(name, Kind::kInt);
   const auto it = values_.find(name);
-  const std::string& text = it != values_.end() ? it->second : spec.default_value;
-  std::size_t pos = 0;
-  const int v = std::stoi(text, &pos);
-  if (pos != text.size()) {
-    throw std::invalid_argument("Args: malformed integer for --" + name);
-  }
-  return v;
+  return parse_number<int>(
+      name, it != values_.end() ? it->second : spec.default_value);
 }
 
 bool Args::get_bool(const std::string& name) const {

@@ -12,8 +12,8 @@
 //  * the fork-based `--procs P` local mode must match too.
 //
 // Regenerate intentionally changed pins with RV_UPDATE_GOLDEN=1 (see
-// golden.hpp); the built-in set declarations live in
-// tools/rv_batch_sets.hpp and are part of the pinned surface.
+// golden.hpp); the built-in set declarations are the examples/sets/
+// files (engine/set_registry.hpp) and are part of the pinned surface.
 
 #include <gtest/gtest.h>
 
@@ -301,10 +301,10 @@ TEST_F(GoldenBatchChaos, PartialEmitsSurvivingSubsetAndCoverageReport) {
 }
 
 // ---------------------------------------------------------------------------
-// `.rvset` twins and cache-dir hygiene: every built-in set ships an
-// equivalent examples/sets/<name>.rvset; running the twin must emit the
-// built-in's exact bytes, and a shard → compact → warm-merge pipeline
-// over the twin must replay everything from the single compacted file.
+// `.rvset` files and cache-dir hygiene: `--set NAME` and `--set-file
+// examples/sets/<name>.rvset` read the same text and must emit the same
+// bytes, and a shard → compact → warm-merge pipeline over the file must
+// replay everything from the single compacted file.
 // ---------------------------------------------------------------------------
 
 /// The shipped `.rvset` twin of a built-in set.
@@ -326,7 +326,7 @@ TEST_P(GoldenBatchSet, RvsetTwinEmitsTheExactBuiltinBytes) {
   ASSERT_TRUE(builtin.has_value());
   ASSERT_TRUE(from_file.has_value());
   EXPECT_EQ(*from_file, *builtin)
-      << twin << " drifted from the compiled-in declaration";
+      << twin << " drifted from the embedded built-in declaration";
 }
 
 TEST_P(GoldenBatchSet, ShardCompactWarmMergePipelineReplaysFromOneFile) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "io/args.hpp"
 #include "io/csv.hpp"
@@ -175,17 +177,61 @@ TEST(ArgsTest, MissingValueThrows) {
 }
 
 TEST(ArgsTest, MalformedNumbersThrow) {
+  // Numeric values are validated by parse itself, so a front-end's
+  // usage-error handling around parse covers them.
   Args args;
   args.declare_double("x", 1.0, "value");
   args.declare_int("n", 1, "count");
   const char* argv[] = {"prog", "--x", "1.5abc"};
-  args.parse(3, argv);
-  EXPECT_THROW((void)args.get_double("x"), std::invalid_argument);
+  EXPECT_THROW(args.parse(3, argv), std::invalid_argument);
   const char* argv2[] = {"prog", "--n", "7.5"};
   Args args2;
   args2.declare_int("n", 1, "count");
-  args2.parse(3, argv2);
-  EXPECT_THROW((void)args2.get_int("n"), std::invalid_argument);
+  EXPECT_THROW(args2.parse(3, argv2), std::invalid_argument);
+}
+
+/// The message parse throws for `--flag value`, or "" if it parses.
+std::string parse_error(const char* flag, const char* value) {
+  Args args;
+  args.declare_double("horizon", 1.0, "a double");
+  args.declare_int("threads", 0, "an int");
+  const char* argv[] = {"prog", flag, value};
+  try {
+    args.parse(3, argv);
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(ArgsTest, NumericValuesAreValidatedAtParse) {
+  // Non-numbers, trailing junk, out-of-range and non-finite values are
+  // rejected up front, naming the flag and the value.
+  for (const char* bad : {"abc", "", " 1", "1.5abc", "0x10", "1e999", "inf",
+                          "nan"}) {
+    const std::string message = parse_error("--horizon", bad);
+    EXPECT_NE(message.find("--horizon"), std::string::npos) << bad;
+    EXPECT_NE(message.find(std::string("'") + bad + "'"), std::string::npos)
+        << message;
+  }
+  for (const char* bad : {"x", "7.5", "3abc", "1e3", "99999999999"}) {
+    const std::string message = parse_error("--threads", bad);
+    EXPECT_NE(message.find("--threads"), std::string::npos) << bad;
+    EXPECT_NE(message.find(std::string("'") + bad + "'"), std::string::npos)
+        << message;
+  }
+  EXPECT_EQ(parse_error("--horizon", "abc"),
+            "Args: --horizon expects a finite number, got 'abc'");
+  EXPECT_EQ(parse_error("--threads", "99999999999"),
+            "Args: --threads expects an int, got '99999999999'");
+
+  Args args;
+  args.declare_double("horizon", 1.0, "a double");
+  args.declare_int("threads", 0, "an int");
+  const char* argv[] = {"prog", "--horizon", "-2.5e3", "--threads", "-4"};
+  args.parse(5, argv);
+  EXPECT_EQ(args.get_double("horizon"), -2500.0);
+  EXPECT_EQ(args.get_int("threads"), -4);
 }
 
 TEST(ArgsTest, TypeMismatchThrows) {

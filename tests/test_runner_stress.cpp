@@ -22,7 +22,6 @@
 #include "engine/runner.hpp"
 #include "engine/serve.hpp"
 #include "io/csv.hpp"
-#include "rv_batch_sets.hpp"
 
 namespace {
 
@@ -210,9 +209,6 @@ TEST(ServeStress, ConcurrentClientsOneServiceBytesAndCountersHold) {
   serve::Options options;
   options.workers = 4;
   options.threads = 2;
-  options.resolver = [](const std::string& name) {
-    return rv::batch::build_builtin_set(name);
-  };
   serve::Service service(std::move(options));
 
   // Byte reference: one clean run through the same service surface.

@@ -4,8 +4,9 @@
 //  * a real forked `rv_serve` driven over pipes answers every built-in
 //    set with payload bytes identical to `rv_batch run`, cold runs pin
 //    exact miss counters and warm replays pin 100% hits;
-//  * raw `.rvset` bodies (the PR 9 twins under examples/sets/) get the
-//    same byte-identity against `rv_batch run --set-file`;
+//  * raw `.rvset` bodies (the files under examples/sets/) get the
+//    same byte-identity against `rv_batch run --set-file`, and
+//    distinct bodies sharing a persistence file survive a restart;
 //  * malformed requests always produce structured error replies —
 //    never a crash, never a torn stream;
 //  * the status schema, queue-full backpressure reply, and
@@ -588,6 +589,42 @@ TEST_F(ServeDaemon, CrashAfterFirstRequestLeavesDurableCacheForRestart) {
   EXPECT_EQ(field(warm.header, "hits"), cold_misses);
   EXPECT_EQ(field(warm.header, "misses"), "0");
   EXPECT_EQ(warm.payload, cold_payload);
+}
+
+TEST_F(ServeDaemon, DistinctUnnamedBodiesBothSurviveRestart) {
+  // Two different bodies without a `name` both persist to
+  // inline-serve.rvcache; the second write must keep the first's work.
+  const auto body = [](const std::string& target) {
+    return "[linear.add]\nmode = linear-rendezvous\nspeed = 1.5\ntarget = " +
+           target + "\nvisibility = 0.05\nmax_time = 1e4\n";
+  };
+  const auto run = [](Daemon& daemon, const std::string& text) {
+    return roundtrip(daemon,
+                     R"({"op":"run","id":"b","body_bytes":)" +
+                         std::to_string(text.size()) + "}",
+                     text, /*has_body=*/true);
+  };
+  const std::vector<std::string> bodies = {body("1.0"), body("2.0")};
+  Scratch scratch;
+  const std::string dir = (scratch.path / "cache").string();
+  std::vector<std::string> cold_payloads;
+  {
+    Daemon daemon({"--cache-dir", dir});
+    for (const std::string& text : bodies) {
+      const Frame cold = run(daemon, text);
+      EXPECT_EQ(field(cold.header, "misses"), "1") << cold.header;
+      cold_payloads.push_back(cold.payload);
+    }
+    daemon.close_stdin();
+    EXPECT_EQ(daemon.wait_exit(), 0);
+  }
+  Daemon revived({"--cache-dir", dir});
+  for (std::size_t i = 0; i < bodies.size(); ++i) {
+    const Frame warm = run(revived, bodies[i]);
+    EXPECT_EQ(field(warm.header, "hits"), "1") << "body " << i;
+    EXPECT_EQ(field(warm.header, "misses"), "0") << "body " << i;
+    EXPECT_EQ(warm.payload, cold_payloads[i]);
+  }
 }
 
 TEST_F(ServeDaemon, TornReplyTruncatesExactlyAndDaemonStaysHealthy) {

@@ -1,6 +1,7 @@
-// Tests for the `.rvset` declaration parser (engine/set_decl):
-// twin-equivalence against the compiled-in rv_batch sets (same work
-// items, same content keys, same labels), precise error reporting
+// Tests for the `.rvset` declaration parser (engine/set_decl) and the
+// built-in set registry (engine/set_registry): the embedded sets match
+// the shipped files (same work items, same content keys, same labels)
+// in the pinned display order, precise error reporting
 // (line + key on every failure mode), the named hook registries, and
 // file-level behaviours (stem-default names, path-prefixed errors).
 
@@ -10,13 +11,14 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "engine/families.hpp"
 #include "engine/scenario_set.hpp"
 #include "engine/set_decl.hpp"
-#include "rv_batch_sets.hpp"
+#include "engine/set_registry.hpp"
 
 namespace {
 
@@ -83,16 +85,32 @@ SetDeclError parse_error(const std::string& text) {
   return SetDeclError(0, "", "did not throw");
 }
 
-TEST(SetDeclTwins, EveryBuiltinSetHasAnEquivalentRvsetFile) {
-  for (const rv::batch::BuiltinSet& builtin : rv::batch::builtin_sets()) {
-    const fs::path file =
-        sets_dir() / (std::string(builtin.name) + ".rvset");
-    ASSERT_TRUE(fs::exists(file)) << file;
-    const SetDecl decl = rv::engine::parse_set_decl_file(file);
-    EXPECT_EQ(decl.name, builtin.name);
-    EXPECT_EQ(decl.description, builtin.description);
-    expect_same_work(builtin.build().materialize_work(),
-                     decl.set.materialize_work(), builtin.name);
+TEST(SetRegistry, ServesTheShippedFilesInDisplayOrder) {
+  const std::vector<std::string> order = {"rendezvous-grid", "search-ring",
+                                          "gather-fleet", "linear-line",
+                                          "coverage-disk"};
+  ASSERT_EQ(rv::engine::builtin_set_names(), order);
+  for (const std::string& name : order) {
+    const SetDecl& decl = rv::engine::builtin_set(name);
+    EXPECT_EQ(decl.name, name);
+    const SetDecl file =
+        rv::engine::parse_set_decl_file(sets_dir() / (name + ".rvset"));
+    EXPECT_EQ(decl.description, file.description);
+    expect_same_work(file.set.materialize_work(), decl.set.materialize_work(),
+                     name);
+    // Parsed once: every lookup returns the same declaration.
+    EXPECT_EQ(&rv::engine::builtin_set(name), &decl);
+  }
+}
+
+TEST(SetRegistry, UnknownNameListsTheAvailableSets) {
+  try {
+    (void)rv::engine::builtin_set("no-such-set");
+    ADD_FAILURE() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_STREQ(error.what(),
+                 "unknown set 'no-such-set'; available: rendezvous-grid "
+                 "search-ring gather-fleet linear-line coverage-disk");
   }
 }
 

@@ -161,6 +161,18 @@ TEST(SupervisorTest, CoverageReportNamesMissingIndices) {
   EXPECT_NE(json.find("\"outcome\": \"exit\""), std::string::npos);
 }
 
+TEST(SupervisorTest, MissingIndicesMergeFailedShardsAscending) {
+  // 8 strided items over 3 shards with shards 0 and 2 lost: their
+  // items interleave, so the list comes back ascending, not per shard.
+  SupervisorReport report;
+  for (std::size_t s = 0; s < 3; ++s) {
+    report.shards.push_back(ShardStatus{s, s == 1, {}});
+  }
+  EXPECT_EQ(report.missing_indices(8),
+            (std::vector<std::size_t>{0, 2, 3, 5, 6}));
+  EXPECT_TRUE(report.missing_indices(0).empty());
+}
+
 TEST(SupervisorTest, CompleteRunEmitsEmptyFailureLists) {
   const SupervisorReport report =
       supervise_shards(2, [](std::size_t) { return 0; }, fast(0));

@@ -3,13 +3,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <tuple>
+#include <vector>
 
+#include "engine/families.hpp"
+#include "engine/set_registry.hpp"
 #include "geom/angle.hpp"
 #include "mathx/constants.hpp"
+#include "mathx/kahan.hpp"
 #include "mathx/rng.hpp"
+#include "rendezvous/core.hpp"
 #include "traj/batch.hpp"
 #include "traj/frame.hpp"
 #include "traj/path.hpp"
@@ -415,6 +423,97 @@ TEST(FrameTest, StreamClockAdvancesByTau) {
   EXPECT_NEAR(seg.t1 - seg.t0, 4.0, 1e-12);
   // Traversal speed is v = 1 (scale v·τ per local unit over τ).
   EXPECT_NEAR(seg.speed(), 1.0, 1e-12);
+}
+
+// ---------------------------------------------------------------------------
+// Long-horizon geometry of the shipped programs
+// ---------------------------------------------------------------------------
+
+/// True when `value` is within `ulps` units in the last place of
+/// `scale` — the VanishesBefore idiom for quantities that should be 0
+/// but are computed from operands of magnitude `scale`.
+bool vanishes_before(double value, double scale, double ulps) {
+  return std::abs(value) <=
+         ulps * std::numeric_limits<double>::epsilon() * std::abs(scale);
+}
+
+/// One robot of the built-in gather-fleet set: Algorithm 7 under its
+/// own attributes, started at its ring origin.
+struct FleetRobot {
+  RobotAttributes attrs;
+  Vec2 origin;
+  rv::rendezvous::AlgorithmChoice algorithm;
+};
+
+std::vector<FleetRobot> gather_fleet_robots() {
+  std::vector<FleetRobot> robots;
+  for (const rv::engine::WorkItem& item :
+       rv::engine::builtin_set("gather-fleet").set.materialize_work()) {
+    for (std::size_t i = 0; i < item.gather.fleet.size(); ++i) {
+      robots.push_back({item.gather.fleet[i],
+                        rv::engine::gather_origin(item.gather, i),
+                        item.gather.algorithm});
+    }
+  }
+  return robots;
+}
+
+TEST(LongHorizonGeometry, GatherFleetStreamsKeepArcJoinAndClockInvariants) {
+  // The gather-fleet sweeps run to t = 2e5, where one rounding unit of
+  // the clock is ~3e-11; every tolerance below is a few units in the
+  // last place of the magnitudes involved, so it holds at any horizon.
+  constexpr double kHorizon = 2e5;
+  const std::vector<FleetRobot> robots = gather_fleet_robots();
+  ASSERT_EQ(robots.size(), 10u);
+  for (const FleetRobot& robot : robots) {
+    const auto factory = rv::rendezvous::program_factory(robot.algorithm);
+    GlobalSegmentStream stream(factory(), robot.attrs, robot.origin);
+    // An independent replay of the same program: its global durations,
+    // summed by mathx::KahanSum, must be the stream's clock bit for bit.
+    const std::shared_ptr<Program> replay = factory();
+    rv::mathx::KahanSum clock;
+    std::optional<TimedSegment> previous;
+    std::size_t arcs = 0;
+    while (stream.clock() < kHorizon) {
+      const TimedSegment seg = stream.next();
+      double dur = 0.0;
+      while (dur <= 0.0) dur = robot.attrs.time_unit * duration(replay->next());
+      clock.add(dur);
+      ASSERT_EQ(seg.t1, clock.value());
+      ASSERT_GT(seg.t1, seg.t0);
+      if (previous) {
+        // Monotone and gapless in time; continuous in space.
+        ASSERT_EQ(seg.t0, previous->t1);
+        const Vec2 end = previous->position(previous->t1);
+        const Vec2 start = seg.position(seg.t0);
+        ASSERT_TRUE(vanishes_before(norm(start - end),
+                                    std::max(1.0, norm(end)), 16))
+            << "jump at t = " << seg.t0;
+      }
+      if (const auto* arc = std::get_if<ArcSeg>(&seg.geometry)) {
+        ++arcs;
+        const double scale = arc->radius + norm(arc->center);
+        for (const double f : {0.0, 0.125, 0.5, 0.875, 1.0}) {
+          const double t = seg.t0 + f * (seg.t1 - seg.t0);
+          const Vec2 radius = seg.position(t) - arc->center;
+          // On the circle of radius R about the arc centre ...
+          ASSERT_TRUE(vanishes_before(norm(radius) - arc->radius, scale, 8))
+              << "t = " << t;
+          // ... moving along the tangent of θ(t) = start + sweep·frac.
+          const double frac =
+              std::clamp((t - seg.t0) / (seg.t1 - seg.t0), 0.0, 1.0);
+          const double theta = arc->start_angle + arc->sweep * frac;
+          const Vec2 velocity = seg.speed() * std::copysign(1.0, arc->sweep) *
+                                Vec2{-std::sin(theta), std::cos(theta)};
+          ASSERT_TRUE(vanishes_before(dot(radius, velocity),
+                                      scale * seg.speed(), 16))
+              << "t = " << t;
+        }
+      }
+      previous = seg;
+    }
+    EXPECT_GT(arcs, 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -23,10 +23,10 @@
 //   rv_batch cache-stats --cache-dir DIR
 //   rv_batch compact --cache-dir DIR [--max-age-days D] [--max-bytes N]
 //
-// `--set-file` runs a data-driven `*.rvset` declaration (see
-// engine/set_decl.hpp and examples/sets/) instead of a compiled-in set;
-// the twins under examples/sets/ reproduce the built-in sets
-// byte-identically.  `compact` is the cache-dir lifecycle tool: it
+// `--set NAME` names a built-in set (engine/set_registry.hpp: the
+// shipped examples/sets/NAME.rvset, embedded at build time);
+// `--set-file` runs any `*.rvset` declaration (see engine/set_decl.hpp)
+// from disk.  `compact` is the cache-dir lifecycle tool: it
 // merges every cache file into one deduplicated `compact.rvcache`
 // (first writer wins, wrong-epoch files dropped), optionally evicting
 // by age (--max-age-days) and to a byte budget (--max-bytes, oldest
@@ -58,8 +58,6 @@
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -69,10 +67,10 @@
 #include "engine/failpoint.hpp"
 #include "engine/runner.hpp"
 #include "engine/set_decl.hpp"
+#include "engine/set_registry.hpp"
 #include "engine/shard.hpp"
 #include "engine/supervisor.hpp"
 #include "io/args.hpp"
-#include "rv_batch_sets.hpp"
 
 namespace {
 
@@ -81,7 +79,6 @@ using rv::engine::CacheLoadStats;
 using rv::engine::ResultSet;
 using rv::engine::ScenarioCache;
 using rv::engine::ShardPlan;
-using rv::engine::SupervisorOptions;
 using rv::engine::SupervisorReport;
 using rv::engine::WorkItem;
 
@@ -135,19 +132,6 @@ ShardSpec parse_shard(const std::string& text) {
   return spec;
 }
 
-/// Renders the set in the requested format.
-std::string render(const ResultSet& results, const std::string& format) {
-  if (format == "csv") return results.to_csv();
-  if (format == "json") return results.to_json();
-  if (format == "table") {
-    std::ostringstream os;
-    results.to_table().print(os);
-    return os.str();
-  }
-  throw std::invalid_argument("--format must be csv, json or table, got '" +
-                              format + "'");
-}
-
 /// Writes the document to --out, or stdout when --out is empty.
 void emit(const std::string& document, const std::string& out_path) {
   if (out_path.empty()) {
@@ -195,219 +179,165 @@ int check_all_hits(bool required, const rv::engine::CacheStats& stats) {
   return kExitMissedHits;
 }
 
-/// The cache file a shard persists its outcomes to.  Set-qualified so
-/// different sets can share one cache directory without clobbering
-/// each other's files.
-fs::path shard_cache_path(const fs::path& dir, const std::string& set_name,
-                          const ShardSpec& spec) {
-  return dir /
-         rv::engine::shard_file_name(set_name, spec.shard, spec.num_shards);
-}
-
 /// Runs one shard (or, with num_shards == 1, the whole set): warm-loads
-/// the cache directory if given (unless `preloaded` already holds it —
-/// the fork mode loads once in the parent), executes the plan,
-/// persists the cache back, and returns the executed slice.
+/// the cache directory if given, executes the plan, persists the
+/// outcomes the shard owns back, and returns the executed slice.
 ResultSet run_one_shard(const std::vector<WorkItem>& work,
                         const std::string& set_name, const ShardSpec& spec,
-                        unsigned threads, const fs::path& cache_dir,
-                        ScenarioCache* preloaded = nullptr) {
-  ScenarioCache local;
-  ScenarioCache* cache = preloaded != nullptr ? preloaded : &local;
-  if (preloaded == nullptr && !cache_dir.empty()) {
-    print_load_stats("loaded", rv::engine::load_cache_dir(cache_dir, cache));
+                        unsigned threads, const fs::path& cache_dir) {
+  ScenarioCache cache;
+  if (!cache_dir.empty()) {
+    print_load_stats("loaded", rv::engine::load_cache_dir(cache_dir, &cache));
   }
   const ShardPlan plan =
       rv::engine::shard_plan(work.size(), spec.shard, spec.num_shards);
   rv::engine::RunnerOptions options;
   options.threads = threads;
-  options.cache = cache;
+  options.cache = &cache;
   ResultSet results = rv::engine::run_shard(work, plan, options);
+  if (cache_dir.empty()) return results;
   const fs::path shard_file =
-      cache_dir.empty() ? fs::path{}
-                        : shard_cache_path(cache_dir, set_name, spec);
-  if (!cache_dir.empty() && results.cache_stats().misses == 0 &&
-      fs::exists(shard_file)) {
+      cache_dir /
+      rv::engine::shard_file_name(set_name, spec.shard, spec.num_shards);
+  if (results.cache_stats().misses == 0 && fs::exists(shard_file)) {
     // Pure replay: nothing new was computed and the shard file already
     // exists, so rewriting it would produce the same bytes.
     std::cerr << "rv_batch: " << shard_file << " unchanged (all hits)\n";
-  } else if (!cache_dir.empty()) {
+  } else {
     // Persist only the outcomes this shard *owns*: warm-loaded entries
     // stay in the files they came from, so a shared cache directory
     // grows linearly in the sweep size however many shards run
     // through it sequentially.
-    ScenarioCache own;
-    for (const std::size_t i : plan.indices) {
-      const std::optional<std::string> key = rv::engine::cache_key(work[i]);
-      ScenarioCache::Entry entry;
-      if (key.has_value() && cache->lookup(*key, &entry)) {
-        own.store(*key, std::move(entry));
-      }
-    }
-    rv::engine::save_cache_file(shard_file, own);
-    std::cerr << "rv_batch: wrote " << own.size() << " outcomes to "
+    const std::size_t written =
+        rv::engine::save_owned_outcomes(shard_file, work, plan, cache);
+    std::cerr << "rv_batch: wrote " << written << " outcomes to "
               << shard_file << "\n";
   }
   return results;
 }
 
-/// Fork-mode knobs beyond the worker count.
-struct ForkOptions {
-  unsigned threads = 0;            ///< per-child thread budget (0 = split hw)
-  SupervisorOptions supervisor;    ///< retries / deadline / backoff
-  bool partial = false;            ///< emit surviving subset on failure
-};
-
-/// `run --procs P`: supervises P children (engine/supervisor.hpp), each
-/// executing shard p/P with the shared cache directory, then replays
-/// the merged cache into the full set in this process.  Failed shards
-/// are retried per `options.supervisor`; with every shard eventually
-/// succeeding the merge covers the full set (all hits).  When shards
-/// exhaust their budget, the attempt table and a JSON coverage report
-/// go to stderr, then either a ShardFailure escapes (default) or —
-/// with `options.partial` — the surviving subset is replayed and
-/// returned in global-index order.
+/// `run --procs P`: runs every shard p/P in a supervised child
+/// (`forked` names the set, cache directory and supervisor knobs), then
+/// replays the merged cache into the full set in this process.  Failed
+/// shards are retried per `forked.supervisor`; with every shard
+/// eventually succeeding the merge covers the full set (all hits).
+/// When shards exhaust their budget, the attempt table and a JSON
+/// coverage report go to stderr, then either a ShardFailure escapes
+/// (default) or — with `partial` — the surviving subset is replayed
+/// and returned in global-index order.
 ResultSet run_forked(const std::vector<WorkItem>& work,
-                     const std::string& set_name, std::size_t procs,
-                     const fs::path& cache_dir, const ForkOptions& options) {
+                     rv::engine::ForkedShards forked, unsigned threads,
+                     bool partial) {
   // Warm-load the directory once, before forking: the children inherit
   // the populated cache copy-on-write instead of each re-parsing every
   // file.
   ScenarioCache warm;
-  print_load_stats("loaded", rv::engine::load_cache_dir(cache_dir, &warm));
+  print_load_stats("loaded",
+                   rv::engine::load_cache_dir(forked.cache_dir, &warm));
   // Split the thread budget across the workers: P children each
   // defaulting to hardware concurrency would oversubscribe the box
   // P-fold.  An explicit --threads T is taken as the per-process
   // budget the operator asked for and left alone.
-  unsigned child_threads = options.threads;
-  if (child_threads == 0) {
+  forked.threads = threads;
+  if (forked.threads == 0) {
     const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    child_threads = std::max(1u, hw / static_cast<unsigned>(procs));
+    forked.threads = std::max(1u, hw / static_cast<unsigned>(forked.procs));
   }
-  const auto child_main = [&](std::size_t p) -> int {
-    // Chaos site: crash/delay/error a worker at its very first
-    // instruction — the supervisor must detect and retry it.
-    RV_FAILPOINT_AT("shard.worker.start", p);
-    (void)run_one_shard(work, set_name, {p, procs}, child_threads, cache_dir,
-                        &warm);
-    return 0;
-  };
   const SupervisorReport report =
-      rv::engine::supervise_shards(procs, child_main, options.supervisor);
+      rv::engine::run_forked_shards(work, &warm, forked);
   if (report.any_failures()) {
     std::cerr << "rv_batch: shard attempt log:\n" << report.table();
   }
-  rv::engine::RunnerOptions run_options;
-  run_options.threads = options.threads;
+  // Merge: replay every persisted outcome (all of them, or with
+  // --partial those of the surviving shards).  Every item replayed
+  // hits, so this recomputes nothing and reproduces the single-process
+  // bytes — for a subset, the corresponding rows of the full document.
+  const std::vector<std::size_t> missing = report.missing_indices(work.size());
   if (!report.complete()) {
     std::cerr << report.to_json(work.size());
     const std::vector<std::size_t> failed = report.failed_shards();
-    std::string failed_list;
-    for (const std::size_t s : failed) {
-      if (!failed_list.empty()) failed_list += ", ";
-      failed_list += std::to_string(s);
-    }
-    if (!options.partial) {
+    const std::string failed_list = rv::engine::join_indices(failed);
+    if (!partial) {
       throw ShardFailure(std::to_string(failed.size()) + " of " +
-                         std::to_string(procs) +
+                         std::to_string(forked.procs) +
                          " shard(s) failed after retries: {" + failed_list +
                          "} (rerun with --partial for the surviving subset)");
     }
-    // Graceful degradation: replay only the items owned by surviving
-    // shards, in ascending global-index order, so the emitted subset is
-    // byte-identical to the corresponding rows of the full document.
-    std::vector<WorkItem> subset;
-    subset.reserve(work.size());
-    for (std::size_t i = 0; i < work.size(); ++i) {
-      if (std::find(failed.begin(), failed.end(), i % procs) == failed.end()) {
-        subset.push_back(work[i]);
-      }
-    }
-    std::cerr << "rv_batch: --partial: emitting " << subset.size() << " of "
+    std::cerr << "rv_batch: --partial: emitting "
+              << work.size() - missing.size() << " of "
               << work.size() << " items (shards {" << failed_list
               << "} missing)\n";
-    ScenarioCache cache;
-    print_load_stats("merged", rv::engine::load_cache_dir(cache_dir, &cache));
-    run_options.cache = &cache;
-    return rv::engine::run_scenarios(subset, run_options);
   }
-  // Merge: replay every persisted outcome into the full set.  All
-  // cacheable items hit, so this recomputes nothing and reproduces the
-  // single-process bytes.
   ScenarioCache cache;
-  print_load_stats("merged", rv::engine::load_cache_dir(cache_dir, &cache));
+  print_load_stats("merged",
+                   rv::engine::load_cache_dir(forked.cache_dir, &cache));
+  rv::engine::RunnerOptions run_options;
+  run_options.threads = threads;
   run_options.cache = &cache;
-  return rv::engine::run_scenarios(work, run_options);
+  return rv::engine::run_scenarios(rv::engine::without_items(work, missing),
+                                   run_options);
 }
 
-/// The set a run/merge operates on: a compiled-in declaration named by
-/// --set, or a data-driven `*.rvset` file named by --set-file.
-struct NamedSet {
-  std::string name;
-  rv::engine::ScenarioSet set;
-};
-
-NamedSet resolve_set(const rv::io::Args& args) {
+/// The set a run/merge operates on: a built-in set named by --set, or
+/// a `*.rvset` file named by --set-file.
+rv::engine::SetDecl resolve_set(const rv::io::Args& args) {
   const std::string set_name = args.get("set");
   const std::string set_file = args.get("set-file");
   if (!set_file.empty()) {
     if (!set_name.empty()) {
       throw std::invalid_argument("--set and --set-file are exclusive");
     }
-    rv::engine::SetDecl decl = rv::engine::parse_set_decl_file(set_file);
-    return NamedSet{std::move(decl.name), std::move(decl.set)};
+    return rv::engine::parse_set_decl_file(set_file);
   }
   if (set_name.empty()) {
     throw std::invalid_argument(
         "need --set NAME (see: rv_batch list) or --set-file FILE");
   }
-  return NamedSet{set_name, rv::batch::build_builtin_set(set_name)};
+  return rv::engine::builtin_set(set_name);
+}
+
+void print_listing(const rv::engine::SetDecl& decl) {
+  std::cout << decl.name << "  (" << decl.set.materialize_work().size()
+            << " items)  " << decl.description << "\n";
 }
 
 int cmd_list(const rv::io::Args& args) {
   const std::string set_file = args.get("set-file");
   if (!set_file.empty()) {
-    const rv::engine::SetDecl decl = rv::engine::parse_set_decl_file(set_file);
-    const std::size_t items = decl.set.materialize_work().size();
-    std::cout << decl.name << "  (" << items << " items)  "
-              << decl.description << "\n";
+    print_listing(rv::engine::parse_set_decl_file(set_file));
     return 0;
   }
-  for (const rv::batch::BuiltinSet& set : rv::batch::builtin_sets()) {
-    const std::size_t items = set.build().materialize_work().size();
-    std::cout << set.name << "  (" << items << " items)  " << set.description
-              << "\n";
+  for (const std::string& name : rv::engine::builtin_set_names()) {
+    print_listing(rv::engine::builtin_set(name));
   }
   return 0;
 }
 
 int cmd_run(rv::io::Args& args) {
-  const NamedSet named = resolve_set(args);
+  const rv::engine::SetDecl named = resolve_set(args);
   const std::string& set_name = named.name;
   const std::vector<WorkItem> work = named.set.materialize_work();
   const unsigned threads = static_cast<unsigned>(args.get_int("threads"));
   const fs::path cache_dir = args.get("cache-dir");
   const std::string shard_text = args.get("shard");
-  const int procs = args.get_int("procs");
-  if (procs < 1) {
-    throw std::invalid_argument("--procs must be >= 1, got " +
-                                std::to_string(procs));
-  }
-  const int retries = args.get_int("retries");
+  // The integer flag's value, rejected below `min`.
+  const auto at_least = [&args](const std::string& flag, int min) {
+    const int value = args.get_int(flag);
+    if (value < min) {
+      throw std::invalid_argument("--" + flag + " must be >= " +
+                                  std::to_string(min) + ", got " +
+                                  std::to_string(value));
+    }
+    return value;
+  };
+  const int procs = at_least("procs", 1);
+  const int retries = at_least("retries", 0);
   const double shard_timeout = args.get_double("shard-timeout");
-  const int backoff_ms = args.get_int("backoff-ms");
   const bool partial = args.get_bool("partial");
-  if (retries < 0) {
-    throw std::invalid_argument("--retries must be >= 0, got " +
-                                std::to_string(retries));
-  }
   if (shard_timeout < 0.0) {
     throw std::invalid_argument("--shard-timeout must be >= 0 seconds");
   }
-  if (backoff_ms < 0) {
-    throw std::invalid_argument("--backoff-ms must be >= 0, got " +
-                                std::to_string(backoff_ms));
-  }
+  const int backoff_ms = at_least("backoff-ms", 0);
   if (procs == 1 && (retries > 0 || shard_timeout > 0.0 || partial)) {
     throw std::invalid_argument(
         "--retries/--shard-timeout/--partial apply to fork mode only "
@@ -415,7 +345,6 @@ int cmd_run(rv::io::Args& args) {
   }
 
   ResultSet results;
-  rv::engine::CacheStats stats;
   if (procs > 1) {
     if (!shard_text.empty()) {
       throw std::invalid_argument("--procs and --shard are exclusive");
@@ -425,30 +354,28 @@ int cmd_run(rv::io::Args& args) {
           "--procs needs --cache-dir (the shard hand-off point)");
     }
     fs::create_directories(cache_dir);
-    ForkOptions fork_options;
-    fork_options.threads = threads;
-    fork_options.supervisor.retries = static_cast<std::size_t>(retries);
-    fork_options.supervisor.timeout_sec = shard_timeout;
-    fork_options.supervisor.backoff_ms =
-        static_cast<std::uint64_t>(backoff_ms);
-    fork_options.partial = partial;
-    results = run_forked(work, set_name, static_cast<std::size_t>(procs),
-                         cache_dir, fork_options);
-    stats = results.cache_stats();
+    rv::engine::ForkedShards forked;
+    forked.set_name = set_name;
+    forked.cache_dir = cache_dir;
+    forked.procs = static_cast<std::size_t>(procs);
+    forked.supervisor.retries = static_cast<std::size_t>(retries);
+    forked.supervisor.timeout_sec = shard_timeout;
+    forked.supervisor.backoff_ms = static_cast<std::uint64_t>(backoff_ms);
+    results = run_forked(work, forked, threads, partial);
   } else {
     const ShardSpec spec =
         shard_text.empty() ? ShardSpec{} : parse_shard(shard_text);
     if (!cache_dir.empty()) fs::create_directories(cache_dir);
     results = run_one_shard(work, set_name, spec, threads, cache_dir);
-    stats = results.cache_stats();
   }
+  const rv::engine::CacheStats stats = results.cache_stats();
   print_run_stats(set_name, results.size(), stats);
-  emit(render(results, args.get("format")), args.get("out"));
+  emit(results.render(args.get("format")), args.get("out"));
   return check_all_hits(args.get_bool("require-all-hits"), stats);
 }
 
 int cmd_merge(rv::io::Args& args) {
-  const NamedSet named = resolve_set(args);
+  const rv::engine::SetDecl named = resolve_set(args);
   const std::string& set_name = named.name;
   const fs::path cache_dir = args.get("cache-dir");
   if (cache_dir.empty()) {
@@ -469,7 +396,7 @@ int cmd_merge(rv::io::Args& args) {
     std::cerr << "rv_batch: wrote " << cache.size() << " outcomes to "
               << merged << "\n";
   }
-  emit(render(results, args.get("format")), args.get("out"));
+  emit(results.render(args.get("format")), args.get("out"));
   return check_all_hits(args.get_bool("require-all-hits"),
                         results.cache_stats());
 }
@@ -681,6 +608,12 @@ int main(int argc, char** argv) {
       "max-age-days",              "max-bytes"};
   try {
     args.parse(argc - 1, argv + 1);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "rv_batch: " << e.what() << "\n";
+    usage(std::cerr);
+    return kExitUsage;
+  }
+  try {
     if (args.help_requested()) {
       usage(std::cout);
       return 0;

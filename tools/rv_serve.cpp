@@ -34,7 +34,6 @@
 
 #include "engine/serve.hpp"
 #include "io/args.hpp"
-#include "rv_batch_sets.hpp"
 
 namespace {
 
@@ -216,29 +215,22 @@ int main(int argc, char** argv) {
       usage(std::cout);
       return 0;
     }
+    // The integer flag's value, rejected below `min` (0 or 1).
+    const auto at_least = [&args](const std::string& flag, int min) {
+      const int value = args.get_int(flag);
+      if (value < min) {
+        throw std::invalid_argument("--" + flag + " must be " +
+                                    (min > 0 ? "> 0" : ">= 0"));
+      }
+      return static_cast<unsigned>(value);
+    };
     rv::engine::serve::Options options;
-    if (args.get_int("queue-depth") <= 0) {
-      throw std::invalid_argument("--queue-depth must be > 0");
-    }
-    if (args.get_int("workers") <= 0) {
-      throw std::invalid_argument("--workers must be > 0");
-    }
-    if (args.get_int("procs") <= 0) {
-      throw std::invalid_argument("--procs must be > 0");
-    }
-    if (args.get_int("threads") < 0) {
-      throw std::invalid_argument("--threads must be >= 0");
-    }
-    if (args.get_int("retry-after-ms") < 0) {
-      throw std::invalid_argument("--retry-after-ms must be >= 0");
-    }
-    if (args.get_int("retries") < 0) {
-      throw std::invalid_argument("--retries must be >= 0");
-    }
-    options.queue_depth = static_cast<std::size_t>(args.get_int("queue-depth"));
-    options.workers = static_cast<unsigned>(args.get_int("workers"));
-    options.threads = static_cast<unsigned>(args.get_int("threads"));
-    options.procs = static_cast<std::size_t>(args.get_int("procs"));
+    options.queue_depth = at_least("queue-depth", 1);
+    options.workers = at_least("workers", 1);
+    options.procs = at_least("procs", 1);
+    options.threads = at_least("threads", 0);
+    options.retry_after_ms = at_least("retry-after-ms", 0);
+    options.supervisor.retries = at_least("retries", 0);
     options.cache_dir = args.get("cache-dir");
     options.compact_interval_sec = args.get_double("compact-interval-sec");
     options.compact.max_age_days = args.get_double("compact-max-age-days");
@@ -250,16 +242,9 @@ int main(int argc, char** argv) {
         throw std::invalid_argument("--compact-max-bytes must be an integer");
       }
     }
-    options.retry_after_ms =
-        static_cast<std::uint64_t>(args.get_int("retry-after-ms"));
-    options.supervisor.retries =
-        static_cast<std::size_t>(args.get_int("retries"));
     options.supervisor.timeout_sec = args.get_double("shard-timeout");
     options.supervisor.backoff_ms =
         static_cast<std::uint64_t>(args.get_int("backoff-ms"));
-    options.resolver = [](const std::string& name) {
-      return rv::batch::build_builtin_set(name);
-    };
     if (!args.get_bool("quiet")) {
       options.log = [](const std::string& message) {
         std::cerr << message << "\n";
