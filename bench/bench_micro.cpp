@@ -13,12 +13,15 @@
 #include <vector>
 
 #include "engine/contact_sweep.hpp"
+#include "engine/families.hpp"
 #include "engine/metric_kernel.hpp"
 #include "engine/runner.hpp"
 #include "engine/scenario_set.hpp"
+#include "engine/set_registry.hpp"
 #include "geom/difference_map.hpp"
 #include "mathx/lambert_w.hpp"
 #include "rendezvous/algorithm7.hpp"
+#include "rendezvous/core.hpp"
 #include "rendezvous/schedule.hpp"
 #include "search/algorithm4.hpp"
 #include "search/baselines.hpp"
@@ -201,6 +204,46 @@ void BM_ContactSweepGatherBrute(benchmark::State& state) {
                          rv::engine::KernelChoice::kBruteForce);
 }
 BENCHMARK(BM_ContactSweepGatherBrute)->Arg(50)->Arg(100)->Arg(250);
+
+// The shipped gather-fleet set's "mixed quartet" cell: four Algorithm 7
+// robots with distinct hidden speeds and clocks on the unit origin
+// ring, swept all-pairs (max-pairwise metric, the default bisection
+// solver) as the batch runner does — but to t = 1e4 instead of the
+// set's 2e5, so an iteration takes a couple of milliseconds.  Unlike the
+// synthetic fleets above, nearly every evaluation here lands on a new
+// segment: the measured cost is segment streaming, frame mapping and
+// per-window slot updates, the hot path of a cold gather-fleet run.
+void BM_ContactSweepGatherFleet(benchmark::State& state) {
+  rv::engine::GatherCell cell;
+  for (const rv::engine::WorkItem& item :
+       rv::engine::builtin_set("gather-fleet").set.materialize_work()) {
+    if (item.label == "mixed quartet") cell = item.gather;
+  }
+  if (cell.fleet.size() != 4) {
+    state.SkipWithError("gather-fleet: no 4-robot 'mixed quartet' cell");
+    return;
+  }
+  const auto factory = rv::rendezvous::program_factory(cell.algorithm);
+  std::uint64_t segments = 0;
+  for (auto _ : state) {
+    std::vector<rv::engine::RobotSpec> robots;
+    for (std::size_t i = 0; i < cell.fleet.size(); ++i) {
+      robots.push_back(
+          {factory(), cell.fleet[i], rv::engine::gather_origin(cell, i)});
+    }
+    rv::engine::SweepOptions opts;
+    opts.visibility = cell.visibility;
+    opts.max_time = 1e4;
+    rv::engine::ContactSweep sweep(std::move(robots),
+                                   rv::engine::SweepMetric::kMaxPairwise,
+                                   opts);
+    const auto res = sweep.run();
+    segments += res.segments;
+    benchmark::DoNotOptimize(res);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(segments));
+}
+BENCHMARK(BM_ContactSweepGatherFleet);
 
 // Event solvers head to head on the same gather workload: the
 // Lipschitz stepper burns its eval budget inching toward the constant

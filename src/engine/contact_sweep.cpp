@@ -48,6 +48,37 @@ ContactSweep::ContactSweep(std::vector<RobotSpec> robots, SweepMetric metric,
   }
 }
 
+void ContactSweep::start(SweepResult& res) {
+  const std::size_t n = streams_.size();
+  current_.clear();
+  current_.reserve(n);
+  for (auto& stream : streams_) {
+    current_.push_back(stream.next());
+    ++res.segments;
+  }
+  batch_.assemble(current_);
+  pos_.resize(n);
+}
+
+bool ContactSweep::pull(double t, SweepResult& res, double* window_end) {
+  *window_end = opts_.max_time;
+  bool pulled = false;
+  for (std::size_t i = 0; i < streams_.size(); ++i) {
+    TimedSegment& seg = current_[i];
+    if (seg.t1 <= t) {
+      do {
+        seg = streams_[i].next();
+        ++res.segments;
+      } while (seg.t1 <= t);
+      // Only the robot's final pulled segment covers t: repack its slot.
+      batch_.update(i, seg);
+      pulled = true;
+    }
+    *window_end = std::min(*window_end, seg.t1);
+  }
+  return pulled;
+}
+
 SweepResult ContactSweep::run() {
   if (opts_.solver == SolverChoice::kBisection) return run_bisection();
   return run_analytic(opts_.solver == SolverChoice::kAuto);
@@ -59,15 +90,7 @@ SweepResult ContactSweep::run_bisection() {
   const std::size_t n = streams_.size();
   const double r = opts_.visibility;
 
-  current_.clear();
-  current_.reserve(n);
-  for (auto& stream : streams_) {
-    current_.push_back(stream.next());
-    ++res.segments;
-  }
-  batch_.assemble(current_);
-  pos_.resize(n);
-  speeds_.reserve(n);
+  start(res);
 
   // The sweep metric over current positions; fills the extremal pair.
   // Kernel dispatch (engine/metric_kernel.hpp): same value and same
@@ -102,23 +125,20 @@ SweepResult ContactSweep::run_bisection() {
     res.metric = metric_of(res.positions, &res.pair_i, &res.pair_j);
   };
 
+  double lipschitz = lipschitz_speed_sum(batch_.speeds());
   double t = 0.0;
   double prev_t = 0.0;  // last evaluated time with metric > r
   bool have_prev = false;
 
   while (t < opts_.max_time && res.evals < opts_.max_evals) {
-    // Pull segments forward so every robot covers time t.
-    double window_end = opts_.max_time;
-    bool pulled = false;
-    for (std::size_t i = 0; i < n; ++i) {
-      while (current_[i].t1 <= t) {
-        current_[i] = streams_[i].next();
-        ++res.segments;
-        pulled = true;
-      }
-      window_end = std::min(window_end, current_[i].t1);
+    // Pull segments forward so every robot covers time t.  The
+    // Lipschitz constant L = max over pairs of (v_i + v_j) changes only
+    // when a segment does; the pair maximum is the sum of the two
+    // largest speeds — computed in O(n), identical value.
+    double window_end;
+    if (pull(t, res, &window_end)) {
+      lipschitz = lipschitz_speed_sum(batch_.speeds());
     }
-    if (pulled) batch_.assemble(current_);
 
     const double m = evaluate(t, nullptr, nullptr);
     if (m < res.best_metric) {
@@ -152,15 +172,8 @@ SweepResult ContactSweep::run_bisection() {
     prev_t = t;
     have_prev = true;
 
-    // Certified advance: the metric is Lipschitz with constant
-    // L = max over pairs of (v_i + v_j) on this window, so it cannot
-    // reach r before t + (m − r)/L.  The pair maximum is the sum of
-    // the two largest speeds — computed in O(n), identical value.
-    speeds_.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      speeds_.push_back(current_[i].speed());
-    }
-    const double lipschitz = lipschitz_speed_sum(speeds_);
+    // Certified advance: the metric is Lipschitz with constant L on
+    // this window, so it cannot reach r before t + (m − r)/L.
     double step;
     if (lipschitz <= 0.0) {
       // Everybody stationary: the metric is constant until the window
@@ -193,15 +206,7 @@ SweepResult ContactSweep::run_analytic(bool auto_mode) {
   controls.time_tol = opts_.time_tol;
   controls.min_step = opts_.min_step;
 
-  current_.clear();
-  current_.reserve(n);
-  for (auto& stream : streams_) {
-    current_.push_back(stream.next());
-    ++res.segments;
-  }
-  batch_.assemble(current_);
-  pos_.resize(n);
-  speeds_.reserve(n);
+  start(res);
 
   auto metric_of = [&](const std::vector<Vec2>& pos, int* out_i, int* out_j) {
     const geom::ExtremalPair p = metric_ == SweepMetric::kMinPairwise
@@ -227,17 +232,8 @@ SweepResult ContactSweep::run_analytic(bool auto_mode) {
   double t = 0.0;
 
   while (t < opts_.max_time && res.evals < opts_.max_evals) {
-    double window_end = opts_.max_time;
-    bool pulled = false;
-    for (std::size_t i = 0; i < n; ++i) {
-      while (current_[i].t1 <= t) {
-        current_[i] = streams_[i].next();
-        ++res.segments;
-        pulled = true;
-      }
-      window_end = std::min(window_end, current_[i].t1);
-    }
-    if (pulled) batch_.assemble(current_);
+    double window_end;
+    (void)pull(t, res, &window_end);
 
     int ext_i = -1, ext_j = -1;
     const double m = evaluate(t, &ext_i, &ext_j);
@@ -270,11 +266,7 @@ SweepResult ContactSweep::run_analytic(bool auto_mode) {
     if (auto_mode && !poly_window) {
       // kAuto on an arc window: the classic certified Lipschitz step
       // (the per-pair arc search may not pay off; kAnalytic forces it).
-      speeds_.clear();
-      for (std::size_t i = 0; i < n; ++i) {
-        speeds_.push_back(current_[i].speed());
-      }
-      const double lipschitz = lipschitz_speed_sum(speeds_);
+      const double lipschitz = lipschitz_speed_sum(batch_.speeds());
       double step;
       if (lipschitz <= 0.0) {
         step = w > 0.0 ? w : opts_.min_step;
@@ -306,10 +298,10 @@ SweepResult ContactSweep::run_analytic(bool auto_mode) {
       // d(t) ≤ r + (v_i + v_j)·w — kills almost every pair with one
       // multiply-add before any model is built.
       double s_min = w;  // default: jump to the window end
+      const std::vector<double>& speeds = batch_.speeds();
       for (std::size_t i = 0; i + 1 < n; ++i) {
         for (std::size_t j = i + 1; j < n; ++j) {
-          const double reach =
-              r + (current_[i].speed() + current_[j].speed()) * s_min;
+          const double reach = r + (speeds[i] + speeds[j]) * s_min;
           const Vec2 delta = pos_[j] - pos_[i];
           if (geom::norm_sq(delta) > reach * reach) continue;
           const PairCrossing crossing =

@@ -37,6 +37,15 @@
 /// the fleet's current segments, bitwise identical to the per-robot
 /// variant dispatch it replaces.
 ///
+/// Per-window work is limited to what changed: when the sweep crosses
+/// a segment boundary only the robots whose segment ended pull new
+/// ones, and only their batch slots are repacked (with each robot's
+/// final pulled segment).  The slots carry the segment speeds, so the
+/// Lipschitz constant is recomputed only on windows where a slot
+/// changed.  The same floating-point operations run in the same order
+/// as a full repack per window, so every output byte and the
+/// evaluation schedule are unchanged.
+///
 /// Tangential touches shallower than L·min_step can be passed over (a
 /// Zeno guard forces progress); all experiments in this repository
 /// involve transversal crossings, and `contact_tol` absorbs grazing
@@ -142,11 +151,18 @@ class ContactSweep {
   /// falls back to certified stepping on windows containing arcs).
   [[nodiscard]] SweepResult run_analytic(bool auto_mode);
 
+  /// Pulls every robot's first segment and packs the whole fleet.
+  void start(SweepResult& res);
+  /// Pulls segments forward until every robot's current segment covers
+  /// t, repacking only the batch slots of robots that pulled; writes
+  /// the window end (earliest current t1, capped at the horizon).
+  /// Returns true when any robot pulled.
+  bool pull(double t, SweepResult& res, double* window_end);
+
   std::vector<traj::GlobalSegmentStream> streams_;
   std::vector<traj::TimedSegment> current_;
-  traj::BatchedPositions batch_;  ///< SoA evaluator over `current_`
+  traj::BatchedPositions batch_;  ///< SoA evaluator and speeds over `current_`
   std::vector<geom::Vec2> pos_;
-  std::vector<double> speeds_;  ///< reused per-step speed buffer
   SweepMetric metric_;
   SweepOptions opts_;
 };

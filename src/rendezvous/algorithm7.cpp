@@ -38,7 +38,9 @@ Segment RendezvousProgram::next() {
       case Stage::kSearchAll: {
         if (!emitter_->done()) {
           Segment seg = emitter_->next();
-          local_clock_ += traj::duration(seg);
+          // The local clock only stamps marks: skip the arc-length
+          // recompute when nobody records them.
+          if (recorder_) local_clock_ += traj::duration(seg);
           return seg;
         }
         if (k_ < n_) {
@@ -54,7 +56,7 @@ Segment RendezvousProgram::next() {
       case Stage::kSearchAllRev: {
         if (!emitter_->done()) {
           Segment seg = emitter_->next();
-          local_clock_ += traj::duration(seg);
+          if (recorder_) local_clock_ += traj::duration(seg);
           return seg;
         }
         if (k_ > 1) {

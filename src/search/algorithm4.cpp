@@ -24,7 +24,9 @@ traj::Segment SearchProgram::next() {
     }
   }
   traj::Segment seg = emitter_.next();
-  local_clock_ += traj::duration(seg);
+  // The local clock only stamps marks: skip the arc-length recompute
+  // when nobody records them.
+  if (recorder_) local_clock_ += traj::duration(seg);
   return seg;
 }
 

@@ -8,7 +8,9 @@
 /// `SearchRoundEmitter` walks the (j, i, phase) state machine instead,
 /// emitting one segment at a time:
 ///   for j = 0..2k−1:  for i = 0..2^{2k−j}:  out, arc, back
-/// followed by the round-final wait.
+/// followed by the round-final wait.  The powers of two in the circle
+/// radii depend only on (k, j), so they are computed once per sub-round
+/// (`ldexp` is exact: the same bits as recomputing them per segment).
 
 #include <cstdint>
 
@@ -41,6 +43,8 @@ class SearchRoundEmitter {
   std::uint64_t i_ = 0;     ///< circle index within the sub-round
   std::uint64_t m_ = 0;     ///< last circle index of this sub-round
   int phase_ = 0;           ///< 0 = line out, 1 = arc, 2 = line back
+  double inner_ = 0.0;      ///< 2^{−k+j}: radius of the sub-round's circle 0
+  double rho_ = 0.0;        ///< 2^{−3k+2j−1}: half the radius step
   bool wait_pending_ = true;
   bool done_ = false;
 

@@ -19,43 +19,47 @@ void BatchedPositions::assemble(const std::vector<TimedSegment>& segments) {
   bx_.resize(n);
   by_.resize(n);
   radius_.resize(n);
+  speed_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) update(i, segments[i]);
+}
 
-  for (std::size_t i = 0; i < n; ++i) {
-    const TimedSegment& seg = segments[i];
-    const double span = seg.t1 - seg.t0;
-    const double dur = duration(seg.geometry);
-    // TimedSegment::position collapses zero-span and zero-duration
-    // segments to their start point before any interpolation.
-    if (span <= 0.0 || dur == 0.0) {
-      const geom::Vec2 p = start_point(seg.geometry);
-      kind_[i] = Kind::kConstant;
-      ax_[i] = p.x;
-      ay_[i] = p.y;
-      continue;
-    }
-    t0_[i] = seg.t0;
-    span_[i] = span;
-    dur_[i] = dur;
-    if (const auto* line = std::get_if<LineSeg>(&seg.geometry)) {
-      kind_[i] = Kind::kLine;
-      ax_[i] = line->from.x;
-      ay_[i] = line->from.y;
-      bx_[i] = line->to.x - line->from.x;
-      by_[i] = line->to.y - line->from.y;
-    } else if (const auto* arc = std::get_if<ArcSeg>(&seg.geometry)) {
-      kind_[i] = Kind::kArc;
-      ax_[i] = arc->center.x;
-      ay_[i] = arc->center.y;
-      bx_[i] = arc->start_angle;
-      by_[i] = arc->sweep;
-      radius_[i] = arc->radius;
-    } else {
-      // A wait with positive duration: constant position.
-      const geom::Vec2 p = std::get<WaitSeg>(seg.geometry).at;
-      kind_[i] = Kind::kConstant;
-      ax_[i] = p.x;
-      ay_[i] = p.y;
-    }
+void BatchedPositions::update(std::size_t i, const TimedSegment& seg) {
+  const double span = seg.t1 - seg.t0;
+  const double dur = duration(seg.geometry);
+  const bool wait = std::holds_alternative<WaitSeg>(seg.geometry);
+  // TimedSegment::speed, replayed on the duration computed here.
+  speed_[i] = (wait || span <= 0.0) ? 0.0 : dur / span;
+  // TimedSegment::position collapses zero-span and zero-duration
+  // segments to their start point before any interpolation.
+  if (span <= 0.0 || dur == 0.0) {
+    const geom::Vec2 p = start_point(seg.geometry);
+    kind_[i] = Kind::kConstant;
+    ax_[i] = p.x;
+    ay_[i] = p.y;
+    return;
+  }
+  t0_[i] = seg.t0;
+  span_[i] = span;
+  dur_[i] = dur;
+  if (const auto* line = std::get_if<LineSeg>(&seg.geometry)) {
+    kind_[i] = Kind::kLine;
+    ax_[i] = line->from.x;
+    ay_[i] = line->from.y;
+    bx_[i] = line->to.x - line->from.x;
+    by_[i] = line->to.y - line->from.y;
+  } else if (const auto* arc = std::get_if<ArcSeg>(&seg.geometry)) {
+    kind_[i] = Kind::kArc;
+    ax_[i] = arc->center.x;
+    ay_[i] = arc->center.y;
+    bx_[i] = arc->start_angle;
+    by_[i] = arc->sweep;
+    radius_[i] = arc->radius;
+  } else {
+    // A wait with positive duration: constant position.
+    const geom::Vec2 p = std::get<WaitSeg>(seg.geometry).at;
+    kind_[i] = Kind::kConstant;
+    ax_[i] = p.x;
+    ay_[i] = p.y;
   }
 }
 

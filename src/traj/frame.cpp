@@ -7,7 +7,6 @@
 
 namespace rv::traj {
 
-using geom::Mat2;
 using geom::RobotAttributes;
 using geom::Vec2;
 
@@ -27,12 +26,16 @@ double TimedSegment::speed() const {
   return duration(geometry) / span;
 }
 
-Segment to_global_geometry(const Segment& local, const RobotAttributes& attrs,
-                           const Vec2& origin) {
-  const Mat2 m = frame_matrix(attrs);
-  const double scale = attrs.speed * attrs.time_unit;
-  const double chi = static_cast<double>(attrs.chirality);
+GlobalSegmentStream::Frame::Frame(const RobotAttributes& attrs,
+                                  const Vec2& origin)
+    : m(frame_matrix(attrs)),
+      scale(attrs.speed * attrs.time_unit),
+      chi(static_cast<double>(attrs.chirality)),
+      orientation(attrs.orientation),
+      time_unit(attrs.time_unit),
+      origin(origin) {}
 
+Segment GlobalSegmentStream::Frame::map(const Segment& local) const {
   if (const auto* line = std::get_if<LineSeg>(&local)) {
     return LineSeg{origin + m * line->from, origin + m * line->to};
   }
@@ -41,18 +44,22 @@ Segment to_global_geometry(const Segment& local, const RobotAttributes& attrs,
     // maps to a point at angle φ + χ·θ on the scaled circle: the
     // chirality flip conjugates the angle, the rotation shifts it.
     return ArcSeg{origin + m * arc->center, scale * arc->radius,
-                  attrs.orientation + chi * arc->start_angle,
-                  chi * arc->sweep};
+                  orientation + chi * arc->start_angle, chi * arc->sweep};
   }
   const auto& wait = std::get<WaitSeg>(local);
-  return WaitSeg{origin + m * wait.at, attrs.time_unit * wait.duration};
+  return WaitSeg{origin + m * wait.at, time_unit * wait.duration};
+}
+
+Segment to_global_geometry(const Segment& local, const RobotAttributes& attrs,
+                           const Vec2& origin) {
+  return GlobalSegmentStream::Frame(attrs, origin).map(local);
 }
 
 GlobalSegmentStream::GlobalSegmentStream(std::shared_ptr<Program> program,
                                          RobotAttributes attrs, Vec2 origin)
     : program_(std::move(program)),
       attrs_(geom::validated(attrs)),
-      origin_(origin) {
+      frame_(attrs_, origin) {
   if (!program_) {
     throw std::invalid_argument("GlobalSegmentStream: null program");
   }
@@ -67,7 +74,7 @@ TimedSegment GlobalSegmentStream::next() {
     const double global_dur = attrs_.time_unit * duration(local);
     if (global_dur <= 0.0) continue;  // skip degenerate segments
 
-    Segment global = to_global_geometry(local, attrs_, origin_);
+    Segment global = frame_.map(local);
     const double t0 = clock_ + clock_comp_;
     // Kahan-compensated clock advance.
     const double x = global_dur;

@@ -13,11 +13,17 @@
 /// dilation τ).
 ///
 /// `GlobalSegmentStream` applies this map lazily to a `Program`,
-/// producing the timed global segments the simulator sweeps over.
+/// producing the timed global segments the simulator sweeps over.  The
+/// map's constants — the frame matrix (one sin/cos pair), the scale v·τ
+/// and χ — depend only on the robot, so the stream computes them once,
+/// from its validated attributes, and every `next()` reuses them.
+/// `to_global_geometry` and the stream share one mapping routine
+/// (`GlobalSegmentStream::Frame`), so both produce the same bits.
 
 #include <memory>
 
 #include "geom/attributes.hpp"
+#include "geom/mat2.hpp"
 #include "traj/program.hpp"
 #include "traj/segment.hpp"
 
@@ -65,12 +71,29 @@ class GlobalSegmentStream {
   }
 
   /// The robot's starting position in the global frame.
-  [[nodiscard]] const geom::Vec2& origin() const { return origin_; }
+  [[nodiscard]] const geom::Vec2& origin() const { return frame_.origin; }
 
  private:
+  friend Segment to_global_geometry(const Segment& local,
+                                    const geom::RobotAttributes& attrs,
+                                    const geom::Vec2& origin);
+
+  /// The constants of one robot's frame map, and the map itself.
+  struct Frame {
+    Frame(const geom::RobotAttributes& attrs, const geom::Vec2& origin);
+    [[nodiscard]] Segment map(const Segment& local) const;
+
+    geom::Mat2 m;        ///< (v·τ)·R(φ)·diag(1,χ)
+    double scale;        ///< v·τ
+    double chi;          ///< χ as a double
+    double orientation;  ///< φ
+    double time_unit;    ///< τ
+    geom::Vec2 origin;
+  };
+
   std::shared_ptr<Program> program_;
   geom::RobotAttributes attrs_;
-  geom::Vec2 origin_;
+  Frame frame_;  ///< built from the validated `attrs_`
   double clock_ = 0.0;
   double clock_comp_ = 0.0;  ///< Kahan compensation
 };

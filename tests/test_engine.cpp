@@ -411,9 +411,13 @@ engine::ScenarioSet small_grid() {
       .algorithm(rendezvous::AlgorithmChoice::kAlgorithm7)
       .max_time(500.0)
       .label([](const rendezvous::Scenario& s) {
-        return "v" + io::format_double(s.attrs.speed, 3) + "/t" +
-               io::format_double(s.attrs.time_unit, 3) + "/c" +
-               std::to_string(s.attrs.chirality);
+        std::string label = "v";
+        label.append(io::format_double(s.attrs.speed, 3))
+            .append("/t")
+            .append(io::format_double(s.attrs.time_unit, 3))
+            .append("/c")
+            .append(std::to_string(s.attrs.chirality));
+        return label;
       });
   return set;
 }

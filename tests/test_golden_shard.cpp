@@ -82,7 +82,9 @@ struct Scratch {
 };
 
 std::string batch_cmd(const std::string& args) {
-  return "'" + rv_batch_binary().string() + "' " + args;
+  std::string cmd = "'";
+  cmd.append(rv_batch_binary().string()).append("' ").append(args);
+  return cmd;
 }
 
 class GoldenBatchSet : public ::testing::TestWithParam<const char*> {

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -14,10 +16,13 @@
 #include "engine/families.hpp"
 #include "engine/set_registry.hpp"
 #include "geom/angle.hpp"
+#include "mathx/binary.hpp"
 #include "mathx/constants.hpp"
 #include "mathx/kahan.hpp"
 #include "mathx/rng.hpp"
 #include "rendezvous/core.hpp"
+#include "search/algorithm4.hpp"
+#include "search/emitter.hpp"
 #include "traj/batch.hpp"
 #include "traj/frame.hpp"
 #include "traj/path.hpp"
@@ -338,6 +343,56 @@ TEST(FrameTest, WaitScalesDurationByTau) {
   EXPECT_DOUBLE_EQ(wait->duration, 6.0);
 }
 
+TEST(FrameTest, StreamGeometryEqualsFreeFunctionOnValidatedAttributes) {
+  // The stream maps with frame constants computed once from the
+  // *validated* attributes; the free function recomputes them per call.
+  // Both must give the same bits.  Orientations outside [0, 2π) are
+  // normalised by validation, which changes the bits of the frame
+  // matrix and of every arc's start angle — the case that catches a
+  // stream built from the raw attributes.
+  rv::mathx::Xoshiro256 rng(77);
+  Path local;
+  local.line_to({2.0, 0.0});
+  local.arc_around({0.0, 0.0}, kPi / 2.0);
+  local.wait(1.0);
+  local.line_to({0.0, 0.0});
+  local.line_to({0.0, 0.0});  // zero length: the stream skips it
+  local.arc_around({1.0, 0.0}, -3.0);
+  local.line_to({-0.5, 0.25});
+  std::vector<double> orientations = {-7.0, 13.0, 0.0, kTwoPi, -kTwoPi};
+  for (int trial = 0; trial < 20; ++trial) {
+    orientations.push_back(rng.uniform(-20.0, 20.0));
+  }
+  int index = 0;
+  for (const double phi : orientations) {
+    RobotAttributes attrs;
+    attrs.speed = rng.uniform(0.1, 4.0);
+    attrs.time_unit = rng.uniform(0.1, 4.0);
+    attrs.orientation = phi;
+    attrs.chirality = (index++ % 2 == 0) ? -1 : 1;
+    const Vec2 origin{rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)};
+    const RobotAttributes valid = rv::geom::validated(attrs);
+    GlobalSegmentStream stream(std::make_shared<PathProgram>(local, "p"),
+                               attrs, origin);
+    PathProgram replay(local, "p");
+    bool arc_differs_from_raw = false;
+    for (std::size_t k = 0; k < local.size(); ++k) {
+      const Segment seg = replay.next();
+      if (duration(seg) <= 0.0) continue;  // the stream skips these
+      const TimedSegment global = stream.next();
+      EXPECT_EQ(global.geometry, to_global_geometry(seg, valid, origin))
+          << "phi=" << phi << " segment " << k;
+      if (std::holds_alternative<ArcSeg>(seg) &&
+          !(global.geometry == to_global_geometry(seg, attrs, origin))) {
+        arc_differs_from_raw = true;
+      }
+    }
+    if (phi < 0.0 || phi >= kTwoPi) {
+      EXPECT_TRUE(arc_differs_from_raw) << "phi=" << phi;
+    }
+  }
+}
+
 class FrameIdentity
     : public ::testing::TestWithParam<std::tuple<double, double, double, int>> {
 };
@@ -458,61 +513,127 @@ std::vector<FleetRobot> gather_fleet_robots() {
   return robots;
 }
 
+/// Streams `factory()` under `attrs` from `origin` to `horizon` and
+/// checks the long-horizon invariants: the clock equals an independent
+/// KahanSum replay bit for bit, segments are gapless in time and
+/// continuous in space, and every arc stays on its circle moving along
+/// its tangent.  Every tolerance is a few units in the last place of
+/// the magnitudes involved, so it holds at any horizon.  Returns the
+/// number of arcs seen.
+std::size_t check_long_horizon_stream(
+    const std::function<std::shared_ptr<Program>()>& factory,
+    const RobotAttributes& attrs, const Vec2& origin, double horizon) {
+  GlobalSegmentStream stream(factory(), attrs, origin);
+  const std::shared_ptr<Program> replay = factory();
+  rv::mathx::KahanSum clock;
+  std::optional<TimedSegment> previous;
+  std::size_t arcs = 0;
+  while (stream.clock() < horizon) {
+    const TimedSegment seg = stream.next();
+    double dur = 0.0;
+    while (dur <= 0.0) dur = attrs.time_unit * duration(replay->next());
+    clock.add(dur);
+    EXPECT_EQ(seg.t1, clock.value());
+    EXPECT_GT(seg.t1, seg.t0);
+    if (previous) {
+      // Monotone and gapless in time; continuous in space.
+      EXPECT_EQ(seg.t0, previous->t1);
+      const Vec2 end = previous->position(previous->t1);
+      const Vec2 start = seg.position(seg.t0);
+      EXPECT_TRUE(vanishes_before(norm(start - end),
+                                  std::max(1.0, norm(end)), 16))
+          << "jump at t = " << seg.t0;
+    }
+    if (const auto* arc = std::get_if<ArcSeg>(&seg.geometry)) {
+      ++arcs;
+      const double scale = arc->radius + norm(arc->center);
+      for (const double f : {0.0, 0.125, 0.5, 0.875, 1.0}) {
+        const double t = seg.t0 + f * (seg.t1 - seg.t0);
+        const Vec2 radius = seg.position(t) - arc->center;
+        // On the circle of radius R about the arc centre ...
+        EXPECT_TRUE(vanishes_before(norm(radius) - arc->radius, scale, 8))
+            << "t = " << t;
+        // ... moving along the tangent of θ(t) = start + sweep·frac.
+        const double frac =
+            std::clamp((t - seg.t0) / (seg.t1 - seg.t0), 0.0, 1.0);
+        const double theta = arc->start_angle + arc->sweep * frac;
+        const Vec2 velocity = seg.speed() * std::copysign(1.0, arc->sweep) *
+                              Vec2{-std::sin(theta), std::cos(theta)};
+        EXPECT_TRUE(vanishes_before(dot(radius, velocity),
+                                    scale * seg.speed(), 16))
+            << "t = " << t;
+      }
+    }
+    if (::testing::Test::HasFailure()) break;  // one report, not thousands
+    previous = seg;
+  }
+  return arcs;
+}
+
 TEST(LongHorizonGeometry, GatherFleetStreamsKeepArcJoinAndClockInvariants) {
   // The gather-fleet sweeps run to t = 2e5, where one rounding unit of
-  // the clock is ~3e-11; every tolerance below is a few units in the
-  // last place of the magnitudes involved, so it holds at any horizon.
+  // the clock is ~3e-11.
   constexpr double kHorizon = 2e5;
   const std::vector<FleetRobot> robots = gather_fleet_robots();
   ASSERT_EQ(robots.size(), 10u);
   for (const FleetRobot& robot : robots) {
-    const auto factory = rv::rendezvous::program_factory(robot.algorithm);
-    GlobalSegmentStream stream(factory(), robot.attrs, robot.origin);
-    // An independent replay of the same program: its global durations,
-    // summed by mathx::KahanSum, must be the stream's clock bit for bit.
-    const std::shared_ptr<Program> replay = factory();
-    rv::mathx::KahanSum clock;
-    std::optional<TimedSegment> previous;
-    std::size_t arcs = 0;
-    while (stream.clock() < kHorizon) {
-      const TimedSegment seg = stream.next();
-      double dur = 0.0;
-      while (dur <= 0.0) dur = robot.attrs.time_unit * duration(replay->next());
-      clock.add(dur);
-      ASSERT_EQ(seg.t1, clock.value());
-      ASSERT_GT(seg.t1, seg.t0);
-      if (previous) {
-        // Monotone and gapless in time; continuous in space.
-        ASSERT_EQ(seg.t0, previous->t1);
-        const Vec2 end = previous->position(previous->t1);
-        const Vec2 start = seg.position(seg.t0);
-        ASSERT_TRUE(vanishes_before(norm(start - end),
-                                    std::max(1.0, norm(end)), 16))
-            << "jump at t = " << seg.t0;
-      }
-      if (const auto* arc = std::get_if<ArcSeg>(&seg.geometry)) {
-        ++arcs;
-        const double scale = arc->radius + norm(arc->center);
-        for (const double f : {0.0, 0.125, 0.5, 0.875, 1.0}) {
-          const double t = seg.t0 + f * (seg.t1 - seg.t0);
-          const Vec2 radius = seg.position(t) - arc->center;
-          // On the circle of radius R about the arc centre ...
-          ASSERT_TRUE(vanishes_before(norm(radius) - arc->radius, scale, 8))
-              << "t = " << t;
-          // ... moving along the tangent of θ(t) = start + sweep·frac.
-          const double frac =
-              std::clamp((t - seg.t0) / (seg.t1 - seg.t0), 0.0, 1.0);
-          const double theta = arc->start_angle + arc->sweep * frac;
-          const Vec2 velocity = seg.speed() * std::copysign(1.0, arc->sweep) *
-                                Vec2{-std::sin(theta), std::cos(theta)};
-          ASSERT_TRUE(vanishes_before(dot(radius, velocity),
-                                      scale * seg.speed(), 16))
-              << "t = " << t;
-        }
-      }
-      previous = seg;
+    EXPECT_GT(check_long_horizon_stream(
+                  rv::rendezvous::program_factory(robot.algorithm),
+                  robot.attrs, robot.origin, kHorizon),
+              0u);
+    if (HasFailure()) return;
+  }
+}
+
+TEST(LongHorizonGeometry, SearchRingAlgorithm4StreamsKeepInvariants) {
+  // The search-ring set's Algorithm 4 cells: the searcher starts at the
+  // origin under the cell's attributes and runs to the cell horizon.
+  std::size_t cells = 0;
+  for (const rv::engine::WorkItem& item :
+       rv::engine::builtin_set("search-ring").set.materialize_work()) {
+    if (item.search.program != rv::engine::SearchProgram::kAlgorithm4) {
+      continue;
     }
-    EXPECT_GT(arcs, 0u);
+    ++cells;
+    EXPECT_GT(check_long_horizon_stream(rv::search::make_search_program,
+                                        item.search.attrs, {0.0, 0.0},
+                                        item.search.max_time),
+              0u);
+    if (HasFailure()) return;
+  }
+  EXPECT_EQ(cells, 4u);
+}
+
+TEST(LongHorizonGeometry, SearchRoundEmitterRadiiMatchClosedForm) {
+  // Search(k) sub-round j, circle i has radius 2^{−k+j} + 2·i·2^{−3k+2j−1}
+  // (ldexp is exact, so the emitter's cached powers give these bits),
+  // traversed as line out, full arc, line back; then the round's wait.
+  using rv::mathx::pow2;
+  for (int k = 1; k <= 8; ++k) {
+    rv::search::SearchRoundEmitter emitter(k);
+    std::uint64_t emitted = 0;
+    for (int j = 0; j <= 2 * k - 1; ++j) {
+      const std::uint64_t last = std::uint64_t{1} << (2 * k - j);
+      for (std::uint64_t i = 0; i <= last; ++i) {
+        const double r = pow2(-k + j) +
+                         2.0 * static_cast<double>(i) * pow2(-3 * k + 2 * j - 1);
+        const Segment out = emitter.next();
+        const Segment arc = emitter.next();
+        const Segment back = emitter.next();
+        emitted += 3;
+        const bool ok =
+            out == Segment{LineSeg{{0.0, 0.0}, {r, 0.0}}} &&
+            arc == Segment{ArcSeg{{0.0, 0.0}, r, 0.0, kTwoPi}} &&
+            back == Segment{LineSeg{{r, 0.0}, {0.0, 0.0}}};
+        ASSERT_TRUE(ok) << "k=" << k << " j=" << j << " i=" << i;
+      }
+    }
+    ASSERT_FALSE(emitter.done());
+    const Segment wait = emitter.next();
+    ++emitted;
+    EXPECT_TRUE(std::holds_alternative<WaitSeg>(wait)) << "k=" << k;
+    EXPECT_TRUE(emitter.done()) << "k=" << k;
+    EXPECT_EQ(emitted, emitter.total_segments()) << "k=" << k;
   }
 }
 
@@ -562,6 +683,66 @@ TEST(SamplerTest, FlattenRejectsBadTolerance) {
 // Batched SoA position evaluation
 // ---------------------------------------------------------------------------
 
+/// A random fleet of timed segments: lines, arcs, waits, degenerate
+/// lines (from == to) and zero-span segments (t1 == t0).
+std::vector<TimedSegment> random_segment_soup(rv::mathx::Xoshiro256& rng,
+                                              int n) {
+  std::vector<TimedSegment> segs;
+  double t = rng.uniform(-2.0, 2.0);
+  for (int i = 0; i < n; ++i) {
+    const double t0 = t;
+    const double t1 =
+        rng.uniform_int(0, 7) == 0 ? t0 : t0 + rng.uniform(1e-6, 3.0);
+    t = t1;
+    Segment geometry;
+    switch (rng.uniform_int(0, 3)) {
+      case 0:
+        geometry = LineSeg{{rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)},
+                           {rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)}};
+        break;
+      case 1:
+        geometry = ArcSeg{{rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)},
+                          rng.uniform(0.1, 3.0),
+                          rng.uniform(0.0, kTwoPi),
+                          rng.uniform(-2.0, 2.0) * kPi};
+        break;
+      case 2:
+        geometry = WaitSeg{{rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)},
+                           rng.uniform(0.1, 2.0)};
+        break;
+      default: {  // degenerate line: from == to
+        const Vec2 p{rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)};
+        geometry = LineSeg{p, p};
+        break;
+      }
+    }
+    segs.push_back({geometry, t0, t1});
+  }
+  return segs;
+}
+
+/// Checks, with `==`, that `batch` holds exactly `segs`: positions at
+/// `at` against the scalar path and a fresh assembly, and the stored
+/// speeds against TimedSegment::speed.
+void expect_batch_holds(const BatchedPositions& batch,
+                        const std::vector<TimedSegment>& segs, double at) {
+  ASSERT_EQ(batch.size(), segs.size());
+  ASSERT_EQ(batch.speeds().size(), segs.size());
+  BatchedPositions fresh;
+  fresh.assemble(segs);
+  std::vector<Vec2> out(segs.size()), ref_out(segs.size());
+  batch.positions(at, out.data());
+  fresh.positions(at, ref_out.data());
+  for (std::size_t i = 0; i < segs.size(); ++i) {
+    const Vec2 ref = segs[i].position(at);
+    EXPECT_EQ(out[i].x, ref.x) << "i=" << i << " at=" << at;
+    EXPECT_EQ(out[i].y, ref.y) << "i=" << i << " at=" << at;
+    EXPECT_EQ(out[i].x, ref_out[i].x) << "i=" << i << " at=" << at;
+    EXPECT_EQ(out[i].y, ref_out[i].y) << "i=" << i << " at=" << at;
+    EXPECT_EQ(batch.speeds()[i], segs[i].speed()) << "i=" << i;
+  }
+}
+
 TEST(BatchTest, BitwiseMatchesScalarOnRandomSegmentSoups) {
   // The engine's golden bytes depend on BatchedPositions replaying the
   // exact floating-point sequence of TimedSegment::position, so the
@@ -570,36 +751,8 @@ TEST(BatchTest, BitwiseMatchesScalarOnRandomSegmentSoups) {
   // t1 to exercise the clamp paths too.
   rv::mathx::Xoshiro256 rng(2024);
   for (int trial = 0; trial < 50; ++trial) {
-    std::vector<TimedSegment> segs;
-    const int n = 1 + rng.uniform_int(0, 19);
-    double t = rng.uniform(-2.0, 2.0);
-    for (int i = 0; i < n; ++i) {
-      const double t0 = t;
-      const double t1 = t0 + rng.uniform(1e-6, 3.0);
-      t = t1;
-      Segment geometry;
-      switch (rng.uniform_int(0, 3)) {
-        case 0:
-          geometry = LineSeg{{rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)},
-                             {rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)}};
-          break;
-        case 1:
-          geometry = ArcSeg{{rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)},
-                            rng.uniform(0.1, 3.0),
-                            rng.uniform(0.0, kTwoPi),
-                            rng.uniform(-2.0, 2.0) * kPi};
-          break;
-        case 2:
-          geometry = WaitSeg{{rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)},
-                             rng.uniform(0.1, 2.0)};
-          break;
-        default:  // degenerate line: from == to
-          const Vec2 p{rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)};
-          geometry = LineSeg{p, p};
-          break;
-      }
-      segs.push_back({geometry, t0, t1});
-    }
+    const std::vector<TimedSegment> segs =
+        random_segment_soup(rng, 1 + rng.uniform_int(0, 19));
     BatchedPositions batch;
     batch.assemble(segs);
     ASSERT_EQ(batch.size(), segs.size());
@@ -615,6 +768,30 @@ TEST(BatchTest, BitwiseMatchesScalarOnRandomSegmentSoups) {
         EXPECT_EQ(out[i].y, ref.y) << "trial=" << trial << " i=" << i
                                    << " at=" << at;
       }
+    }
+  }
+}
+
+TEST(BatchTest, SlotUpdatesMatchFreshAssemblyAndScalarBitwise) {
+  // The sweep repacks only the slots whose robot pulled a segment.  A
+  // slot update must leave the batch exactly as a fresh assembly of
+  // the current fleet would: stale coefficients of a slot's previous
+  // kind (a line replaced by a wait, an arc by a zero-span segment)
+  // must not leak into positions or speeds.
+  rv::mathx::Xoshiro256 rng(4051);
+  for (int trial = 0; trial < 40; ++trial) {
+    const int n = 1 + rng.uniform_int(0, 11);
+    std::vector<TimedSegment> current = random_segment_soup(rng, n);
+    BatchedPositions batch;
+    batch.assemble(current);
+    const double lo = current.front().t0 - 1.0;
+    const double hi = current.back().t1 + 4.0;
+    expect_batch_holds(batch, current, rng.uniform(lo, hi));
+    for (int u = 0; u < 3 * n; ++u) {
+      const auto i = static_cast<std::size_t>(rng.uniform_int(0, n - 1));
+      current[i] = random_segment_soup(rng, 1).front();
+      batch.update(i, current[i]);
+      expect_batch_holds(batch, current, rng.uniform(lo, hi));
     }
   }
 }
