@@ -102,6 +102,21 @@ void BM_Algorithm7Emission(benchmark::State& state) {
 }
 BENCHMARK(BM_Algorithm7Emission);
 
+// E5's path: the same pull with a MarkRecorder attached, so the program
+// also advances the local clock that stamps the phase marks.
+void BM_Algorithm7EmissionRecorded(benchmark::State& state) {
+  for (auto _ : state) {
+    rv::traj::MarkRecorder rec;
+    rv::rendezvous::RendezvousProgram prog(&rec);
+    for (int i = 0; i < 10000; ++i) {
+      benchmark::DoNotOptimize(prog.next());
+    }
+    benchmark::DoNotOptimize(rec.marks().size());
+  }
+  state.SetItemsProcessed(state.iterations() * 10000);
+}
+BENCHMARK(BM_Algorithm7EmissionRecorded);
+
 void BM_ContactSweepSearch(benchmark::State& state) {
   for (auto _ : state) {
     rv::sim::SimOptions opts;

@@ -10,6 +10,12 @@
 /// where S(n) is the duration of SearchAll(n).  The growing overlap of
 /// the robots' inactive and active phases (Lemmas 9/10) guarantees a
 /// meeting whenever Theorem 4 says one is possible.
+///
+/// Each Search(k) is a `search::SearchRoundEmitter` held by value and
+/// re-seated per round, so emission allocates nothing, and the emitter
+/// builds each segment in `next()`'s return slot.  With a recorder the
+/// local clock that stamps the marks advances by the emitter's
+/// `last_duration()` (bit for bit `traj::duration` of the segment).
 
 #include <memory>
 #include <string>
@@ -36,12 +42,17 @@ class RendezvousProgram final : public traj::Program {
   enum class Stage { kWait, kSearchAll, kSearchAllRev };
 
   void begin_round();
+  /// The emitter's next segment, advancing the local clock if recorded.
+  [[nodiscard]] traj::Segment emit();
+  /// Steps the stage machine (waits, round and Search(k) boundaries)
+  /// until it yields a segment.
+  [[nodiscard]] traj::Segment next_stage();
   void mark(const std::string& label);
 
   int n_ = 0;
   Stage stage_ = Stage::kWait;
   int k_ = 1;  ///< inner Search(k) index within SearchAll/SearchAllRev
-  std::unique_ptr<search::SearchRoundEmitter> emitter_;
+  search::SearchRoundEmitter emitter_{1};
   traj::MarkRecorder* recorder_;
   double local_clock_ = 0.0;
 };

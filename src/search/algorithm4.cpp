@@ -14,19 +14,21 @@ SearchProgram::SearchProgram(int first_round, traj::MarkRecorder* recorder)
   }
 }
 
-traj::Segment SearchProgram::next() {
-  if (emitter_.done()) {
-    ++round_;
-    emitter_ = SearchRoundEmitter(round_);
-    if (recorder_) {
-      recorder_->record(local_clock_,
-                        "round " + std::to_string(round_) + " begin");
-    }
+void SearchProgram::next_round() {
+  ++round_;
+  emitter_ = SearchRoundEmitter(round_);
+  if (recorder_) {
+    recorder_->record(local_clock_,
+                      "round " + std::to_string(round_) + " begin");
   }
+}
+
+traj::Segment SearchProgram::next() {
+  if (emitter_.done()) [[unlikely]] next_round();
+  // `seg` is the return slot (one named return): the segment is built
+  // in place and never copied.  The local clock only stamps marks.
   traj::Segment seg = emitter_.next();
-  // The local clock only stamps marks: skip the arc-length recompute
-  // when nobody records them.
-  if (recorder_) local_clock_ += traj::duration(seg);
+  if (recorder_) local_clock_ += emitter_.last_duration();
   return seg;
 }
 

@@ -35,6 +35,9 @@ class SearchProgram final : public traj::Program {
   SearchRoundEmitter emitter_;
   traj::MarkRecorder* recorder_;
   double local_clock_ = 0.0;
+
+  /// Starts Search(round + 1), marking its start when recorded.
+  void next_round();
 };
 
 /// Factory helper matching the simulator's program-factory interface.

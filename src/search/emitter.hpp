@@ -11,9 +11,18 @@
 /// followed by the round-final wait.  The powers of two in the circle
 /// radii depend only on (k, j), so they are computed once per sub-round
 /// (`ldexp` is exact: the same bits as recomputing them per segment).
+///
+/// Emission is the innermost loop of every Algorithm 4/7 run, so
+/// `next()` is inline: it builds the segment in place in the return
+/// slot and leaves only the once-per-sub-round reload and the round's
+/// final wait (with the exhausted-emitter error) out of line.  It also
+/// records the *local duration* of the segment it returned
+/// (`last_duration()`), equal bit for bit to `traj::duration` of it, so
+/// programs that keep a local clock need not re-measure the segment.
 
 #include <cstdint>
 
+#include "mathx/constants.hpp"
 #include "traj/segment.hpp"
 
 namespace rv::search {
@@ -29,7 +38,32 @@ class SearchRoundEmitter {
   [[nodiscard]] bool done() const { return done_; }
 
   /// Next segment.  \throws std::logic_error when done().
-  [[nodiscard]] traj::Segment next();
+  [[nodiscard]] traj::Segment next() {
+    if (j_ >= 2 * k_) [[unlikely]] return final_wait();
+    const double radius = inner_ + 2.0 * static_cast<double>(i_) * rho_;
+    const int phase = phase_;
+    if (++phase_ == 3) {
+      phase_ = 0;
+      if (++i_ > m_) [[unlikely]] next_sub_round();
+    }
+    // The duration of each shape is the one `traj::duration` measures:
+    // hypot(±r, ±0) == r exactly (C Annex F), and an arc's is r·|2π|.
+    switch (phase) {
+      case 0:
+        last_duration_ = radius;
+        return traj::LineSeg{{0.0, 0.0}, {radius, 0.0}};
+      case 1:
+        last_duration_ = radius * rv::mathx::kTwoPi;
+        return traj::ArcSeg{{0.0, 0.0}, radius, 0.0, rv::mathx::kTwoPi};
+      default:
+        last_duration_ = radius;
+        return traj::LineSeg{{radius, 0.0}, {0.0, 0.0}};
+    }
+  }
+
+  /// Local duration of the segment the last `next()` returned, equal
+  /// bit for bit to `traj::duration` of it (0 before the first call).
+  [[nodiscard]] double last_duration() const { return last_duration_; }
 
   /// Round parameter k.
   [[nodiscard]] int k() const { return k_; }
@@ -45,12 +79,14 @@ class SearchRoundEmitter {
   int phase_ = 0;           ///< 0 = line out, 1 = arc, 2 = line back
   double inner_ = 0.0;      ///< 2^{−k+j}: radius of the sub-round's circle 0
   double rho_ = 0.0;        ///< 2^{−3k+2j−1}: half the radius step
-  bool wait_pending_ = true;
+  double last_duration_ = 0.0;
   bool done_ = false;
 
-  [[nodiscard]] double circle_radius() const;
-  void advance_counters();
+  /// Steps to sub-round j+1 (the final wait follows the last one).
+  void next_sub_round();
   void load_sub_round();
+  /// The round-final wait; \throws std::logic_error once it was emitted.
+  [[nodiscard]] traj::Segment final_wait();
 };
 
 }  // namespace rv::search

@@ -30,20 +30,16 @@ VariantRoundEmitter::VariantRoundEmitter(int k, const VariantOptions& options)
 void VariantRoundEmitter::load_sub_round() {
   // Number of circle steps needed to cross the annulus at spacing c·ρ:
   // ⌈(outer − inner)/(c·ρ)⌉, plus the inner boundary circle.
-  const double inner = pow2(-k_ + j_);
+  // The powers of two depend only on (k, j): cache them for the
+  // sub-round's circles (`pow2` is exact, so the bits are unchanged).
+  inner_ = pow2(-k_ + j_);
+  rho_ = pow2(-3 * k_ + 2 * j_ - 1);
   const double outer = pow2(-k_ + j_ + 1);
-  const double rho = pow2(-3 * k_ + 2 * j_ - 1);
   const double steps =
-      std::ceil((outer - inner) / (opts_.spacing_factor * rho));
+      std::ceil((outer - inner_) / (opts_.spacing_factor * rho_));
   count_ = static_cast<std::uint64_t>(steps) + 1;
   i_ = 0;
   phase_ = 0;
-}
-
-double VariantRoundEmitter::circle_radius() const {
-  const double inner = pow2(-k_ + j_);
-  const double rho = pow2(-3 * k_ + 2 * j_ - 1);
-  return inner + opts_.spacing_factor * static_cast<double>(i_) * rho;
 }
 
 Segment VariantRoundEmitter::next() {
@@ -58,7 +54,8 @@ Segment VariantRoundEmitter::next() {
     // segments automatically).
     return LineSeg{{0.0, 0.0}, {0.0, 0.0}};
   }
-  const double radius = circle_radius();
+  const double radius =
+      inner_ + opts_.spacing_factor * static_cast<double>(i_) * rho_;
   Segment seg;
   switch (phase_) {
     case 0:

@@ -53,10 +53,11 @@ class VariantRoundEmitter {
   std::uint64_t i_ = 0;
   std::uint64_t count_ = 0;  ///< circles in this sub-round
   int phase_ = 0;
+  double inner_ = 0.0;  ///< 2^{−k+j}: radius of the sub-round's circle 0
+  double rho_ = 0.0;    ///< 2^{−3k+2j−1}: half the paper's radius step
   bool done_ = false;
 
   void load_sub_round();
-  [[nodiscard]] double circle_radius() const;
 };
 
 /// The Algorithm 4 loop over `VariantRoundEmitter`s: a drop-in

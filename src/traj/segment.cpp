@@ -10,16 +10,6 @@ namespace rv::traj {
 namespace {
 using geom::Vec2;
 
-struct DurationVisitor {
-  double operator()(const LineSeg& s) const {
-    return geom::distance(s.from, s.to);
-  }
-  double operator()(const ArcSeg& s) const {
-    return s.radius * std::abs(s.sweep);
-  }
-  double operator()(const WaitSeg& s) const { return s.duration; }
-};
-
 struct StartVisitor {
   Vec2 operator()(const LineSeg& s) const { return s.from; }
   Vec2 operator()(const ArcSeg& s) const {
@@ -36,10 +26,6 @@ struct EndVisitor {
   Vec2 operator()(const WaitSeg& s) const { return s.at; }
 };
 }  // namespace
-
-double duration(const Segment& seg) {
-  return std::visit(DurationVisitor{}, seg);
-}
 
 geom::Vec2 start_point(const Segment& seg) {
   return std::visit(StartVisitor{}, seg);

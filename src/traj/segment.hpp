@@ -10,6 +10,7 @@
 /// *local duration* of a segment equals its arc length (unit speed), or
 /// the explicit duration for waits.
 
+#include <cmath>
 #include <iosfwd>
 #include <variant>
 
@@ -50,8 +51,17 @@ struct WaitSeg {
 using Segment = std::variant<LineSeg, ArcSeg, WaitSeg>;
 
 /// Local duration: arc length for moves (unit speed), explicit time for
-/// waits.
-[[nodiscard]] double duration(const Segment& seg);
+/// waits.  Inline: the frame stream and the contact sweep measure every
+/// segment they pull.
+[[nodiscard]] inline double duration(const Segment& seg) {
+  if (const auto* line = std::get_if<LineSeg>(&seg)) {
+    return geom::distance(line->from, line->to);
+  }
+  if (const auto* arc = std::get_if<ArcSeg>(&seg)) {
+    return arc->radius * std::abs(arc->sweep);
+  }
+  return std::get<WaitSeg>(seg).duration;
+}
 
 /// Position at the start of the segment.
 [[nodiscard]] geom::Vec2 start_point(const Segment& seg);

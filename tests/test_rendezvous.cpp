@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <tuple>
 
 #include "geom/difference_map.hpp"
@@ -96,6 +98,32 @@ TEST(Algorithm7Program, MarksMatchLemma8Schedule) {
                 1e-9 * (1.0 + rev->local_time))
         << n;
   }
+}
+
+TEST(Algorithm7Program, MarksEqualADurationReplayBitForBit) {
+  // The recorded local clock must be exactly the running sum of
+  // traj::duration over the emitted segments, in emission order.  A
+  // phase boundary is stamped with the time before the segment whose
+  // pull crossed it, except "searchall n", stamped when the inactive
+  // wait just emitted ends.
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  rv::traj::MarkRecorder rec;
+  RendezvousProgram prog(&rec);
+  double clock = 0.0;
+  std::size_t seen = 0;
+  while (prog.current_round() <= 6) {
+    const double before = clock;
+    const auto seg = prog.next();
+    clock += rv::traj::duration(seg);
+    for (; seen < rec.marks().size(); ++seen) {
+      const auto& mark = rec.marks()[seen];
+      const bool at_end = mark.label.starts_with("searchall ");
+      EXPECT_EQ(bits(mark.local_time), bits(at_end ? clock : before))
+          << mark.label;
+    }
+  }
+  // inactive 1..7, searchall 1..7, searchallrev 1..6.
+  EXPECT_EQ(rec.marks().size(), 20u);
 }
 
 TEST(Algorithm7Program, EmitsContinuousTrajectory) {

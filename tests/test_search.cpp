@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <tuple>
 
@@ -187,6 +189,29 @@ TEST_P(EmitterEquivalence, EmitsExactlyTheAlgorithm3Path) {
 INSTANTIATE_TEST_SUITE_P(SmallRounds, EmitterEquivalence,
                          ::testing::Values(1, 2, 3, 4));
 
+// Exact comparison: the local clock must not drift by even one ulp.
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(Emitter, LastDurationIsTrajDurationBitForBit) {
+  for (int k = 1; k <= 8; ++k) {
+    SearchRoundEmitter emitter(k);
+    std::uint64_t count = 0;
+    Segment seg;
+    while (!emitter.done()) {
+      seg = emitter.next();
+      ASSERT_EQ(bits(emitter.last_duration()), bits(rv::traj::duration(seg)))
+          << "segment " << count << " of round " << k << ": " << seg;
+      ++count;
+    }
+    EXPECT_EQ(count, emitter.total_segments()) << k;
+    // The last segment checked is the round-final wait.
+    ASSERT_TRUE(std::holds_alternative<rv::traj::WaitSeg>(seg)) << k;
+    EXPECT_EQ(bits(emitter.last_duration()), bits(search_round_wait(k)));
+    EXPECT_THROW((void)emitter.next(), std::logic_error) << k;
+    EXPECT_TRUE(emitter.done()) << k;
+  }
+}
+
 TEST(Emitter, RejectsBadRounds) {
   EXPECT_THROW(SearchRoundEmitter(0), std::invalid_argument);
   EXPECT_THROW(SearchRoundEmitter(31), std::invalid_argument);
@@ -225,6 +250,27 @@ TEST(Algorithm4, RoundMarksMatchLemma2PrefixSums) {
                 1e-9 * (1.0 + mark->local_time))
         << "round " << k;
   }
+}
+
+TEST(Algorithm4, RoundMarksEqualADurationReplayBitForBit) {
+  // Each "round k begin" mark is stamped with the local time before the
+  // round's first segment: the running sum of traj::duration over the
+  // segments emitted so far, in emission order.
+  rv::traj::MarkRecorder rec;
+  SearchProgram prog(1, &rec);
+  double clock = 0.0;
+  std::size_t seen = 0;
+  while (prog.current_round() <= 6) {
+    const double before = clock;
+    const Segment seg = prog.next();
+    clock += rv::traj::duration(seg);
+    for (; seen < rec.marks().size(); ++seen) {
+      const auto& mark = rec.marks()[seen];
+      EXPECT_EQ(bits(mark.local_time), bits(before)) << mark.label;
+    }
+  }
+  // round 1 .. round 7 begin.
+  EXPECT_EQ(rec.marks().size(), 7u);
 }
 
 TEST(Algorithm4, FactoryProducesFreshPrograms) {
