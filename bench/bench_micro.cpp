@@ -1,6 +1,6 @@
 // E10 — micro-benchmarks of the substrate (google-benchmark): segment
 // evaluation, frame mapping, emitter throughput, contact sweeps,
-// Lambert W, schedule algebra.  These quantify the simulator cost
+// coverage rasterisation, Lambert W, schedule algebra.  These quantify the simulator cost
 // model used to size the E1-E9 experiments.
 
 #include <benchmark/benchmark.h>
@@ -26,6 +26,7 @@
 #include "search/algorithm4.hpp"
 #include "search/baselines.hpp"
 #include "search/emitter.hpp"
+#include "search/times.hpp"
 #include "sim/simulator.hpp"
 #include "traj/batch.hpp"
 #include "traj/frame.hpp"
@@ -259,6 +260,46 @@ void BM_ContactSweepGatherFleet(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(segments));
 }
 BENCHMARK(BM_ContactSweepGatherFleet);
+
+// The coverage family's swept-area rasteriser on the cells the paper
+// binaries and the shipped set run: argument 0 is X3's Algorithm 4 cell
+// (R = 2, r = 0.1, grid cell 0.02, 48 checkpoints, horizon four times
+// the guaranteed-round time), 1–3 are the `coverage-disk` set's cells
+// (Algorithm 4, concentric, square spiral at R = 1.5, r = 0.1, cell
+// 0.05).  One iteration is one `run_coverage_cell`, as the batch
+// runner calls it.  Five repetitions, reported as aggregates: gate on
+// the `_median` rows, which one slow repetition does not move.
+void BM_MeasureCoverage(benchmark::State& state) {
+  std::vector<rv::engine::CoverageCell> cells;
+  rv::engine::CoverageCell x3;
+  x3.program = rv::engine::SearchProgram::kAlgorithm4;
+  x3.disk_radius = 2.0;
+  x3.visibility = 0.1;
+  x3.cell = 0.02;
+  x3.checkpoints = 48;
+  x3.horizon = 4.0 * rv::search::time_first_rounds(
+                         rv::search::guaranteed_round(2.0, 0.1));
+  cells.push_back(x3);
+  for (const rv::engine::WorkItem& item :
+       rv::engine::builtin_set("coverage-disk").set.materialize_work()) {
+    cells.push_back(item.coverage);
+  }
+  const auto index = static_cast<std::size_t>(state.range(0));
+  if (cells.size() != 4 || index >= cells.size()) {
+    state.SkipWithError("coverage-disk: expected three cells");
+    return;
+  }
+  for (auto _ : state) {
+    const rv::engine::CoverageOutcome out =
+        rv::engine::run_coverage_cell(cells[index]);
+    benchmark::DoNotOptimize(out.final_fraction);
+  }
+}
+BENCHMARK(BM_MeasureCoverage)
+    ->DenseRange(0, 3)
+    ->Unit(benchmark::kMicrosecond)
+    ->Repetitions(5)
+    ->ReportAggregatesOnly(true);
 
 // Event solvers head to head on the same gather workload: the
 // Lipschitz stepper burns its eval budget inching toward the constant

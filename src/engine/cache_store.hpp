@@ -56,7 +56,7 @@ inline constexpr const char* kCacheFileExtension = ".rvcache";
 /// results.  **Bump this constant with any such change**: readers
 /// reject files from other epochs (counted as `bad_files`) and the
 /// outcomes are recomputed and re-persisted on the next run.
-inline constexpr std::uint32_t kEngineCacheEpoch = 1;
+inline constexpr std::uint32_t kEngineCacheEpoch = 2;
 
 /// What `load_cache_file` / `load_cache_dir` found.
 struct CacheLoadStats {

@@ -47,9 +47,13 @@
 /// evaluation schedule are unchanged.
 ///
 /// Tangential touches shallower than L·min_step can be passed over (a
-/// Zeno guard forces progress); all experiments in this repository
-/// involve transversal crossings, and `contact_tol` absorbs grazing
-/// contacts to within 1e−9 world units.
+/// Zeno guard forces progress), and `contact_tol` absorbs grazing
+/// contacts to within 1e−9 world units.  Not every experiment here is a
+/// transversal crossing: E4's orientation-grid cell (φ = 0, v = 0.5,
+/// χ = −1, offset (0, 2), r = 0.25) is a tangential graze that the
+/// Lipschitz steps crawl through, about 3.27M evaluations and ~330 ms
+/// before contact is accepted within `contact_tol`.  ROADMAP's
+/// certified-sweep item (a second-order step for grazes) is the fix.
 ///
 /// `sim::TwoRobotSimulator` (2-robot rendezvous) and
 /// `gather::MultiRobotSimulator` (n-robot gathering) are thin adapters

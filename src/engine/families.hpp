@@ -20,7 +20,7 @@
 ///  * **linear** — the 1-D (infinite line) setting of the paper's
 ///    predecessor [11]: doubling-zigzag search to a signed coordinate,
 ///    or linear rendezvous under 1-D attributes (v, τ, δ);
-///  * **coverage** — swept-area accounting: the r-neighbourhood of one
+///  * **coverage** — swept-area accounting: the exact r-neighbourhood of one
 ///    program's trajectory rasterised onto a grid, reported as a
 ///    coverage-vs-time series against a target disk (the area argument
 ///    of the Ω(d²/r) lower bound, [25]).

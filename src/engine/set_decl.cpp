@@ -732,7 +732,15 @@ void apply_linear(Section& section, bool add, ScenarioSet& set) {
   keys.apply("disk_radius", cell.disk_radius, to_double);
   keys.apply("visibility", cell.visibility, to_double);
   keys.apply("cell", cell.cell, to_double);
-  keys.apply("checkpoints", cell.checkpoints, to_int);
+  if (const std::optional<KeyValue> kv = keys.take("checkpoints")) {
+    cell.checkpoints = to_int(*kv, "checkpoints");
+    if (cell.checkpoints > analysis::kMaxCoverageCheckpoints) {
+      throw SetDeclError(kv->line, "checkpoints",
+                         "at most " +
+                             std::to_string(analysis::kMaxCoverageCheckpoints) +
+                             " checkpoints, got " + kv->value);
+    }
+  }
   keys.apply("horizon", cell.horizon, to_double);
   return cell;
 }

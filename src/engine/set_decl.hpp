@@ -44,7 +44,9 @@
 /// `linear-rendezvous`).  Unknown sections/keys, duplicate keys, bad
 /// values, and control bytes all fail with a `SetDeclError` naming the
 /// line (and key) — a malformed file never mis-parses into a different
-/// grid.
+/// grid.  Coverage `checkpoints` above `analysis::kMaxCoverageCheckpoints`
+/// (65 536) is rejected the same way: it sizes the series, so an
+/// unbounded value would let one file ask for gigabytes.
 ///
 /// Hooks cannot be arbitrary code in a text file, so the format selects
 /// them from named registries (`horizon_rule = NAME`,

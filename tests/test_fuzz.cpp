@@ -18,6 +18,8 @@
 #include <string>
 #include <vector>
 
+#include "analysis/coverage.hpp"
+#include "coverage_oracle.hpp"
 #include "engine/families.hpp"
 #include "engine/set_decl.hpp"
 #include "mathx/constants.hpp"
@@ -26,6 +28,7 @@
 #include "search/algorithm4.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
+#include "traj/frame.hpp"
 #include "traj/path.hpp"
 #include "traj/program.hpp"
 
@@ -670,6 +673,146 @@ TEST(FuzzSetDecl, CorruptValuesErrorInsteadOfMisParsing) {
   EXPECT_THROW((void)rv::engine::parse_set_decl(
                    "[gather]\nsizes = 99999999999999999999\n"),
                rv::engine::SetDeclError);
+}
+
+// ---------------------------------------------------------------------------
+// Coverage sweep fuzz: `measure_coverage` marks each clipped segment
+// piece's exact r-neighbourhood.  The oracle rebuilds the path the
+// program drives (global segments, the last one cut at the horizon by
+// hand) and judges every cell by its brute-force distance to it; the
+// reported fraction and area must be the oracle's counts exactly.
+// ---------------------------------------------------------------------------
+
+TEST(FuzzCoverage, RandomPathsMatchTheBruteForceOracle) {
+  using namespace rv::analysis;
+  Xoshiro256 rng(16016);
+  int judged = 0;
+  for (int trial = 0; trial < 30; ++trial) {
+    const Path local = random_path(rng, 6);
+    RobotAttributes attrs;
+    attrs.speed = rng.uniform(0.3, 2.0);
+    attrs.time_unit = rng.uniform(0.3, 2.0);
+    attrs.orientation = rng.angle();
+    attrs.chirality = rng.sign();
+    CoverageOptions opts;
+    opts.visibility = rng.uniform(0.05, 0.6);
+    opts.disk_radius = rng.uniform(1.0, 6.0);
+    opts.cell = opts.disk_radius / rng.uniform(10.0, 40.0);
+    opts.checkpoints = static_cast<int>(rng.uniform_int(1, 9));
+    // Often past the path's end (then it waits), often mid-segment.
+    opts.horizon = rng.uniform(0.2, 1.3) * attrs.time_unit * local.duration();
+    if (!(opts.horizon > 0.0)) continue;
+    const auto program = [&] {
+      return std::make_shared<PathProgram>(local, "fz");
+    };
+    const auto series = measure_coverage(program(), attrs, opts);
+
+    // The series: one point per checkpoint at k·horizon/n, monotone.
+    ASSERT_EQ(series.size(), static_cast<std::size_t>(opts.checkpoints));
+    EXPECT_EQ(series.back().time, opts.horizon) << "trial " << trial;
+    for (std::size_t i = 1; i < series.size(); ++i) {
+      EXPECT_GT(series[i].time, series[i - 1].time);
+      EXPECT_GE(series[i].fraction, series[i - 1].fraction);
+      EXPECT_GE(series[i].covered_area, series[i - 1].covered_area);
+    }
+
+    // The oracle's path up to the horizon.
+    std::vector<rv::traj::Segment> pieces;
+    rv::traj::GlobalSegmentStream stream(program(), attrs, {0.0, 0.0});
+    for (;;) {
+      const rv::traj::TimedSegment seg = stream.next();
+      if (seg.t1 <= opts.horizon) {
+        pieces.push_back(seg.geometry);
+        if (seg.t1 == opts.horizon) break;
+        continue;
+      }
+      const double f = (opts.horizon - seg.t0) / (seg.t1 - seg.t0);
+      if (const auto* line = std::get_if<rv::traj::LineSeg>(&seg.geometry)) {
+        pieces.push_back(rv::traj::LineSeg{
+            line->from, line->from + f * (line->to - line->from)});
+      } else if (const auto* arc =
+                     std::get_if<rv::traj::ArcSeg>(&seg.geometry)) {
+        pieces.push_back(rv::traj::ArcSeg{arc->center, arc->radius,
+                                          arc->start_angle, f * arc->sweep});
+      } else {
+        pieces.push_back(seg.geometry);
+      }
+      break;
+    }
+    const auto distance = [&](Vec2 q) {
+      double d = rv::test::ref_distance(q, pieces.front());
+      for (const auto& piece : pieces) {
+        d = std::min(d, rv::test::ref_distance(q, piece));
+      }
+      return d;
+    };
+    // An unmarked grid of the sweep's geometry: only the oracle's
+    // counts of it are used.
+    const CoverageGrid geometry(opts.disk_radius + opts.visibility + 1e-9,
+                                opts.cell);
+    const rv::test::OracleReport report = rv::test::check_against_oracle(
+        geometry, distance, opts.visibility, opts.disk_radius);
+    if (report.ambiguous > 0) continue;  // a centre sits on the boundary
+    ++judged;
+    EXPECT_EQ(series.back().covered_area,
+              static_cast<double>(report.inside) * opts.cell * opts.cell)
+        << "trial " << trial;
+    EXPECT_EQ(series.back().fraction,
+              static_cast<double>(report.target_inside) /
+                  static_cast<double>(report.target_cells))
+        << "trial " << trial;
+  }
+  EXPECT_GE(judged, 25);
+}
+
+TEST(FuzzCoverage, HostileCellsThrowOrMeasure) {
+  // Coverage cells with hostile option values (zero, negative, tiny,
+  // enormous, the checkpoint cap and one past it) must either fail with
+  // std::invalid_argument or return a well-formed series.  Horizons
+  // stay short and cells coarse enough that each accepted run is quick.
+  using rv::engine::CoverageCell;
+  Xoshiro256 rng(31337);
+  const double cells[] = {0.0, -0.0, -1.0, 0.04, 0.5, 1e6};
+  const double radii[] = {0.0, -0.1, 1e-3, 0.1, 3.5};
+  const double disks[] = {0.0, -1.0, 0.125, 1.5, 1e6};
+  const double horizons[] = {0.0, -1.0, 1e-3, 0.5, 20.0};
+  const int checkpoints[] = {-1, 0, 1, 3, rv::analysis::kMaxCoverageCheckpoints,
+                             rv::analysis::kMaxCoverageCheckpoints + 1,
+                             2147483647};
+  const auto pick = [&](const auto& pool) {
+    return pool[rng.uniform_int(0, static_cast<std::int64_t>(
+                                       std::size(pool) - 1))];
+  };
+  int measured = 0, refused = 0;
+  for (int trial = 0; trial < 120; ++trial) {
+    CoverageCell cell;
+    cell.program =
+        static_cast<rv::engine::SearchProgram>(rng.uniform_int(0, 2));
+    cell.attrs.speed = rng.uniform(0.5, 2.0);
+    cell.attrs.time_unit = rng.uniform(0.5, 2.0);
+    cell.attrs.orientation = rng.angle();
+    cell.attrs.chirality = rng.sign();
+    cell.cell = pick(cells);
+    cell.visibility = pick(radii);
+    cell.disk_radius = pick(disks);
+    cell.horizon = pick(horizons);
+    cell.checkpoints = pick(checkpoints);
+    try {
+      const rv::engine::CoverageOutcome out =
+          rv::engine::run_coverage_cell(cell);
+      ++measured;
+      ASSERT_EQ(out.series.size(), static_cast<std::size_t>(cell.checkpoints));
+      EXPECT_EQ(out.series.back().time, cell.horizon);
+      for (const auto& point : out.series) {
+        EXPECT_GE(point.fraction, 0.0);
+        EXPECT_LE(point.fraction, 1.0);
+      }
+    } catch (const std::invalid_argument&) {
+      ++refused;
+    }
+  }
+  EXPECT_GT(measured, 0);
+  EXPECT_GT(refused, 0);
 }
 
 TEST(FuzzPaths, RandomPathsAreAlwaysContinuousAndClamped) {

@@ -254,6 +254,35 @@ TEST(SetDeclErrors, DuplicateKeyErrorNamesTheFirstOccurrence) {
             std::string::npos);
 }
 
+TEST(SetDeclErrors, CoverageCheckpointsAreCapped) {
+  // `checkpoints` sizes the coverage series, so a hostile file must not
+  // be able to ask for an unbounded one: above the cap is a structured
+  // error on the key's line, in the grid section and in `.add` alike.
+  const std::string over =
+      std::to_string(rv::analysis::kMaxCoverageCheckpoints + 1);
+  for (const std::string section : {"[coverage]", "[coverage.add]"}) {
+    const SetDeclError error = parse_error(
+        section + "\ndisk_radius = 1\ncheckpoints = " + over + "\n");
+    EXPECT_EQ(error.line(), 3) << section;
+    EXPECT_EQ(error.field(), "checkpoints") << section;
+    EXPECT_NE(std::string(error.what()).find("at most 65536"),
+              std::string::npos)
+        << error.what();
+  }
+  const SetDeclError huge =
+      parse_error("[coverage]\ncheckpoints = 2000000000\nradii = 0.1\n");
+  EXPECT_EQ(huge.line(), 2);
+  EXPECT_EQ(huge.field(), "checkpoints");
+  // The cap itself is accepted.
+  const auto decl = rv::engine::parse_set_decl(
+      "[coverage]\nradii = 0.1\ncheckpoints = " +
+      std::to_string(rv::analysis::kMaxCoverageCheckpoints) + "\n");
+  const auto items = decl.set.materialize_work();
+  ASSERT_EQ(items.size(), 1u);
+  EXPECT_EQ(items[0].coverage.checkpoints,
+            rv::analysis::kMaxCoverageCheckpoints);
+}
+
 TEST(SetDeclErrors, UnknownKeyErrorListsTheValidKeys) {
   const SetDeclError error =
       parse_error("[gather]\nsizes = 2 3\nwarp = 9\n");
