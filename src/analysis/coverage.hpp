@@ -145,9 +145,9 @@ struct CoverageOptions {
 /// k·horizon/checkpoints: each segment is clipped to the checkpoint
 /// windows it crosses and each piece's swept region is marked whole
 /// (`CoverageGrid::mark_segment`).
-/// \throws std::invalid_argument on a non-positive horizon or
-/// visibility, `checkpoints` outside [1, kMaxCoverageCheckpoints], or
-/// bad grid geometry.
+/// \throws std::invalid_argument on a non-positive or infinite horizon,
+/// a non-positive visibility, `checkpoints` outside
+/// [1, kMaxCoverageCheckpoints], or bad grid geometry.
 [[nodiscard]] std::vector<CoveragePoint> measure_coverage(
     std::shared_ptr<traj::Program> program,
     const geom::RobotAttributes& attrs, const CoverageOptions& options);
