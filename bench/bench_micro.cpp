@@ -1,7 +1,8 @@
 // E10 — micro-benchmarks of the substrate (google-benchmark): segment
 // evaluation, frame mapping, emitter throughput, contact sweeps,
-// coverage rasterisation, Lambert W, schedule algebra.  These quantify the simulator cost
-// model used to size the E1-E9 experiments.
+// coverage rasterisation, Lambert W, schedule algebra, ResultSet
+// emission.  These quantify the simulator cost model used to size the
+// E1-E9 experiments.
 
 #include <benchmark/benchmark.h>
 
@@ -10,6 +11,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "engine/contact_sweep.hpp"
@@ -428,6 +430,44 @@ void BM_EngineScenarioSweep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 16);
 }
 BENCHMARK(BM_EngineScenarioSweep)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+
+// ResultSet emission of the largest shipped document: `rendezvous-grid`
+// replayed warm from a cache (as a warm rv_serve hit replays it), then
+// rendered as CSV or JSON once per iteration.  The replay runs once per
+// process; the timed loop is emission only.  Five repetitions, reported
+// as aggregates: compare the `_median` rows.
+const rv::engine::ResultSet& warm_rendezvous_grid() {
+  static const rv::engine::ResultSet warm = [] {
+    const rv::engine::ScenarioSet& set =
+        rv::engine::builtin_set("rendezvous-grid").set;
+    rv::engine::ScenarioCache cache;
+    rv::engine::RunnerOptions opts;
+    opts.threads = 1;
+    opts.cache = &cache;
+    (void)rv::engine::run_scenarios(set, opts);
+    return rv::engine::run_scenarios(set, opts);
+  }();
+  return warm;
+}
+
+void BM_ResultSetRender(benchmark::State& state, const char* format) {
+  const rv::engine::ResultSet& warm = warm_rendezvous_grid();
+  std::int64_t bytes = 0;
+  for (auto _ : state) {
+    const std::string doc = warm.render(format);
+    bytes += static_cast<std::int64_t>(doc.size());
+    benchmark::DoNotOptimize(doc.data());
+  }
+  state.SetBytesProcessed(bytes);
+}
+BENCHMARK_CAPTURE(BM_ResultSetRender, csv, "csv")
+    ->Unit(benchmark::kMicrosecond)
+    ->Repetitions(5)
+    ->ReportAggregatesOnly(true);
+BENCHMARK_CAPTURE(BM_ResultSetRender, json, "json")
+    ->Unit(benchmark::kMicrosecond)
+    ->Repetitions(5)
+    ->ReportAggregatesOnly(true);
 
 void BM_RoundBound(benchmark::State& state) {
   double tau = 0.5;

@@ -256,6 +256,24 @@ TEST(GoldenEngine, CoverageCells) {
   golden::compare(results.to_json(), "engine/coverage_cells.json");
 }
 
+// The table prints a coverage time the horizon cut short as ">horizon":
+// one cell stops between t50 and t99, one before t50.
+TEST(GoldenEngine, CoverageTableMarksUnreachedTimes) {
+  engine::CoverageCell cell;
+  cell.disk_radius = 1.0;
+  cell.visibility = 0.25;
+  cell.cell = 0.05;
+  cell.checkpoints = 8;
+  engine::ScenarioSet set;
+  cell.horizon = 5.0;
+  set.add_coverage(cell, "past t50");
+  cell.horizon = 2.0;
+  set.add_coverage(cell, "before t50");
+  const auto results = engine::run_scenarios(set);
+  golden::compare(results.to_table().to_ascii(),
+                  "engine/coverage_unreached.txt");
+}
+
 // ---------------------------------------------------------------------------
 // Component-times hook: the E2 SearchCircle grid and the E6 lemma
 // windows, pinned with their component columns.

@@ -1,8 +1,8 @@
 // Process-level golden pins for the rv_batch front-end — the
 // acceptance harness of the sharded engine:
 //
-//  * the single-process CSV of every built-in set is pinned byte for
-//    byte under tests/golden/rv_batch/;
+//  * the single-process CSV, JSON and table of every built-in set are
+//    pinned byte for byte under tests/golden/rv_batch/;
 //  * running the same set as 2 and as 3 shard *processes*, persisting
 //    each shard's outcomes to a cache file and merging, must reproduce
 //    those exact bytes (all cache hits, nothing recomputed);
@@ -26,6 +26,7 @@
 #include <sstream>
 #include <string>
 #include <sys/wait.h>
+#include <utility>
 #include <vector>
 
 #include "golden.hpp"
@@ -482,13 +483,24 @@ TEST(GoldenBatch, ListedSetsArePinned) {
   if (out.has_value()) golden::compare(*out, "rv_batch/list.txt");
 }
 
+// The JSON and table documents of every built-in set (one set per
+// family), pinned like the CSV: `<set>.json` and `<set>.txt`.
 TEST(GoldenBatch, JsonEmissionMatchesPin) {
   if (!fs::exists(rv_batch_binary())) {
     GTEST_SKIP() << rv_batch_binary() << " not built";
   }
-  const auto out =
-      run_and_capture(batch_cmd("run --set linear-line --format json"));
-  if (out.has_value()) golden::compare(*out, "rv_batch/linear-line.json");
+  const std::pair<const char*, const char*> formats[] = {{"json", ".json"},
+                                                         {"table", ".txt"}};
+  for (const std::string set : {"rendezvous-grid", "search-ring",
+                                "gather-fleet", "linear-line",
+                                "coverage-disk"}) {
+    for (const auto& [format, ext] : formats) {
+      const std::string args = "run --set " + set + " --format " + format;
+      SCOPED_TRACE(args);
+      const auto out = run_and_capture(batch_cmd(args));
+      if (out.has_value()) golden::compare(*out, "rv_batch/" + set + ext);
+    }
+  }
 }
 
 }  // namespace
