@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
       .visibility(0.25)
       .algorithm(rendezvous::AlgorithmChoice::kAlgorithm7)
       .max_time(horizon);
-  const std::vector<engine::LabeledScenario> cells = set.materialize();
+  const std::vector<engine::WorkItem> cells = set.materialize_work();
 
   // Theory-only mode never simulates; otherwise the runner fans the
   // grid out across cores.

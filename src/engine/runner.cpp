@@ -2,85 +2,286 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <exception>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 #include <utility>
 
 #include "engine/failpoint.hpp"
+#include "io/json.hpp"
 #include "rendezvous/feasibility.hpp"
 
 namespace rv::engine {
 
 namespace {
 
-constexpr const char* kRendezvousColumns[] = {
-    "v",   "tau", "phi",  "chi",      "d",            "r",     "algorithm",
-    "feasible", "met", "time", "distance", "min_distance", "evals", "segments"};
+// ---------------------------------------------------------------------------
+// Field lists.  `visit_fields` names every standard column of a family
+// once, with its kind; the sinks below turn the same list into CSV
+// header names, CSV cells, JSON members and table cells.  To add a
+// column, add one line to its family's list.
+// ---------------------------------------------------------------------------
 
-constexpr const char* kSearchColumns[] = {
-    "d",      "r",          "angles",    "program",     "found", "missed",
-    "worst_time", "mean_time", "worst_angle", "evals", "segments"};
+/// A real column's table precision when it follows the caller's
+/// `precision` argument instead of a fixed digit count.
+constexpr int kCallerPrecision = -1;
 
-constexpr const char* kGatherColumns[] = {
-    "n",        "ring_radius",  "r",          "algorithm",
-    "contact",  "contact_time", "pair_i",     "pair_j",
-    "gathered", "gathered_time", "min_max_pairwise", "evals", "segments"};
+/// The table words of a flag column (CSV prints 1/0, JSON true/false).
+struct FlagWords {
+  const char* set;
+  const char* clear;
+};
+constexpr FlagWords kFeasibleWords{"feasible", "INFEASIBLE"};
+constexpr FlagWords kYesNo{"yes", "no"};
 
-constexpr const char* kLinearColumns[] = {
-    "mode", "v",    "tau",      "dir",          "d",     "r",       "feasible",
-    "met",  "time", "distance", "min_distance", "evals", "segments"};
-
-constexpr const char* kCoverageColumns[] = {
-    "program", "R",   "r",   "cell",           "checkpoints",
-    "horizon", "t50", "t99", "final_fraction", "covered_area"};
-
-/// Escapes a string per RFC 8259: quote, backslash, and *every*
-/// control character below 0x20 (named escapes where JSON has them,
-/// \u00XX otherwise).  Raw control characters in the output would make
-/// the document unparseable.
-std::string json_escape(const std::string& s) {
-  static constexpr char kHex[] = "0123456789abcdef";
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char ch : s) {
-    const unsigned char c = static_cast<unsigned char>(ch);
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          out += "\\u00";
-          out += kHex[(c >> 4) & 0xF];
-          out += kHex[c & 0xF];
-        } else {
-          out += ch;
-        }
-    }
-  }
-  return out;
-}
-
-/// JSON number token: RFC 8259 has no inf/nan literals, so non-finite
-/// values are emitted as null.
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  return io::format_double(v);
-}
+// The column kinds.
+struct Real {
+  double value;
+  int digits;  ///< table precision, or kCallerPrecision
+};
+struct Integer {
+  template <class T>
+  explicit Integer(T value) : text(std::to_string(value)) {}
+  std::string text;  ///< printed the same in every sink
+};
+struct Text {
+  std::string_view value;
+};
+struct Flag {
+  bool value;
+  FlagWords words;
+};
+/// A time that the table prints as ">horizon" when negative (never
+/// reached before the horizon).
+struct TimeOrNever {
+  double value;
+};
+/// A caller-supplied derived column, evaluated only by the sinks that
+/// print values (printed like Text).
+struct Extra {
+  const Column& column;
+  const RunRecord& rec;
+};
 
 const char* gather_algorithm_name(const GatherCell& cell) {
   return cell.algorithm == rendezvous::AlgorithmChoice::kAlgorithm4
              ? "algorithm4"
              : "algorithm7";
 }
+
+/// The standard columns of `rec`'s family, in emission order.
+template <class Sink>
+void visit_fields(const RunRecord& rec, Sink& sink) {
+  switch (rec.family) {
+    case Family::kRendezvous: {
+      const rendezvous::Scenario& s = rec.scenario;
+      const sim::SimResult& sim = rec.outcome.sim;
+      sink("v", Real{s.attrs.speed, 2});
+      sink("tau", Real{s.attrs.time_unit, 3});
+      sink("phi", Real{s.attrs.orientation, 3});
+      sink("chi", Integer{s.attrs.chirality});
+      sink("d", Real{rec.outcome.initial_distance, 2});
+      sink("r", Real{s.visibility, 3});
+      sink("algorithm", Text{rec.outcome.algorithm_name});
+      sink("feasible", Flag{rendezvous::is_feasible(rec.outcome.feasibility),
+                            kFeasibleWords});
+      sink("met", Flag{sim.met, kYesNo});
+      sink("time", Real{sim.time, kCallerPrecision});
+      sink("distance", Real{sim.distance, kCallerPrecision});
+      sink("min_distance", Real{sim.min_distance, kCallerPrecision});
+      sink("evals", Integer{sim.evals});
+      sink("segments", Integer{sim.segments});
+      return;
+    }
+    case Family::kSearch: {
+      const SearchCell& c = rec.search;
+      const SearchOutcome& o = rec.search_outcome;
+      sink("d", Real{c.distance, 2});
+      sink("r", Real{c.visibility, 4});
+      sink("angles", Integer{c.angles});
+      sink("program", Text{o.program_name});
+      sink("found", Integer{o.found});
+      sink("missed", Integer{o.missed});
+      sink("worst_time", Real{o.worst_time, kCallerPrecision});
+      sink("mean_time", Real{o.mean_time, kCallerPrecision});
+      sink("worst_angle", Real{o.worst_angle, 3});
+      sink("evals", Integer{o.evals});
+      sink("segments", Integer{o.segments});
+      return;
+    }
+    case Family::kGather: {
+      const GatherCell& c = rec.gather;
+      const GatherOutcome& o = rec.gather_outcome;
+      sink("n", Integer{c.fleet.size()});
+      sink("ring_radius", Real{c.ring_radius, 2});
+      sink("r", Real{c.visibility, 3});
+      sink("algorithm", Text{gather_algorithm_name(c)});
+      sink("contact", Flag{o.contact.achieved, kYesNo});
+      sink("contact_time", Real{o.contact.time, kCallerPrecision});
+      sink("pair_i", Integer{o.contact.pair_i});
+      sink("pair_j", Integer{o.contact.pair_j});
+      sink("gathered", Flag{o.gathered.achieved, kYesNo});
+      sink("gathered_time", Real{o.gathered.time, kCallerPrecision});
+      sink("min_max_pairwise",
+           Real{o.gathered.min_max_pairwise, kCallerPrecision});
+      // The contact and gathering sweeps' work, summed.
+      sink("evals", Integer{o.contact.evals + o.gathered.evals});
+      sink("segments", Integer{o.contact.segments + o.gathered.segments});
+      return;
+    }
+    case Family::kLinear: {
+      const LinearCell& c = rec.linear;
+      const LinearOutcome& o = rec.linear_outcome;
+      sink("mode", Text{linear_mode_name(c.mode)});
+      sink("v", Real{c.attrs.speed, 2});
+      sink("tau", Real{c.attrs.time_unit, 3});
+      sink("dir", Integer{c.attrs.direction});
+      sink("d", Real{c.target, 2});
+      sink("r", Real{c.visibility, 3});
+      sink("feasible", Flag{o.feasible, kFeasibleWords});
+      sink("met", Flag{o.sim.met, kYesNo});
+      sink("time", Real{o.sim.time, kCallerPrecision});
+      sink("distance", Real{o.sim.distance, kCallerPrecision});
+      sink("min_distance", Real{o.sim.min_distance, kCallerPrecision});
+      sink("evals", Integer{o.sim.evals});
+      sink("segments", Integer{o.sim.segments});
+      return;
+    }
+    case Family::kCoverage: {
+      const CoverageCell& c = rec.coverage;
+      const CoverageOutcome& o = rec.coverage_outcome;
+      sink("program", Text{o.program_name});
+      sink("R", Real{c.disk_radius, 2});
+      sink("r", Real{c.visibility, 3});
+      sink("cell", Real{c.cell, 3});
+      sink("checkpoints", Integer{c.checkpoints});
+      sink("horizon", Real{c.horizon, 0});
+      sink("t50", TimeOrNever{o.t50});
+      sink("t99", TimeOrNever{o.t99});
+      sink("final_fraction", Real{o.final_fraction, 4});
+      sink("covered_area", Real{o.covered_area, kCallerPrecision});
+      return;
+    }
+  }
+}
+
+/// One emitted row: the label (when the set has labels), the family's
+/// fields, one real per component time, then the extras.
+template <class Sink>
+void visit_row(const RunRecord& rec, bool with_label,
+               const std::vector<Column>& extras, Sink& sink) {
+  if (with_label) sink("label", Text{rec.label});
+  visit_fields(rec, sink);
+  for (const Component& c : rec.components) {
+    sink(c.name, Real{c.value, kCallerPrecision});
+  }
+  for (const Column& col : extras) sink(col.name, Extra{col, rec});
+}
+
+/// Header names.
+struct NameSink {
+  std::vector<std::string> cells;
+  template <class Kind>
+  void operator()(std::string_view name, const Kind&) {
+    cells.emplace_back(name);
+  }
+};
+
+/// The cells that CSV and the table print alike: integers, text and
+/// extras as their text.
+struct CellSink {
+  std::vector<std::string> cells;
+  void operator()(std::string_view, Integer f) {
+    cells.push_back(std::move(f.text));
+  }
+  void operator()(std::string_view, const Text& f) {
+    cells.emplace_back(f.value);
+  }
+  void operator()(std::string_view, const Extra& f) {
+    cells.push_back(f.column.value(f.rec));
+  }
+};
+
+/// CSV cells: reals at 12 significant digits, flags as 1/0.
+struct CsvSink : CellSink {
+  using CellSink::operator();
+  void operator()(std::string_view, const Real& f) {
+    cells.push_back(io::format_double(f.value));
+  }
+  void operator()(std::string_view, const Flag& f) {
+    cells.emplace_back(f.value ? "1" : "0");
+  }
+  void operator()(std::string_view, const TimeOrNever& f) {
+    cells.push_back(io::format_double(f.value));
+  }
+};
+
+/// JSON members appended to `out`: reals as numbers (non-finite as
+/// null), flags as booleans, text and extras quoted and escaped.
+struct JsonSink {
+  std::string& out;
+  bool first = true;
+
+  void key(std::string_view name) {
+    if (!first) out += ", ";
+    first = false;
+    out += '"';
+    out += io::json_escape(name);
+    out += "\": ";
+  }
+  void quoted(std::string_view value) {
+    out += '"';
+    out += io::json_escape(value);
+    out += '"';
+  }
+  void operator()(std::string_view name, const Real& f) {
+    key(name);
+    out += io::json_number(f.value);
+  }
+  void operator()(std::string_view name, const Integer& f) {
+    key(name);
+    out += f.text;
+  }
+  void operator()(std::string_view name, const Text& f) {
+    key(name);
+    quoted(f.value);
+  }
+  void operator()(std::string_view name, const Flag& f) {
+    key(name);
+    out += f.value ? "true" : "false";
+  }
+  void operator()(std::string_view name, const TimeOrNever& f) {
+    key(name);
+    out += io::json_number(f.value);
+  }
+  void operator()(std::string_view name, const Extra& f) {
+    key(name);
+    quoted(f.column.value(f.rec));
+  }
+};
+
+/// Table cells: reals fixed-point at their column's precision, flags as
+/// their words, unreached times as ">horizon".
+struct TableSink : CellSink {
+  using CellSink::operator();
+  explicit TableSink(int precision) : precision(precision) {}
+  int precision;
+
+  void operator()(std::string_view, const Real& f) {
+    cells.push_back(io::format_fixed(
+        f.value, f.digits == kCallerPrecision ? precision : f.digits));
+  }
+  void operator()(std::string_view, const Flag& f) {
+    cells.emplace_back(f.value ? f.words.set : f.words.clear);
+  }
+  void operator()(std::string_view, const TimeOrNever& f) {
+    cells.push_back(f.value >= 0.0 ? io::format_fixed(f.value, precision)
+                                   : ">horizon");
+  }
+};
 
 }  // namespace
 
@@ -169,27 +370,18 @@ void ScenarioCache::clear() {
   map_.clear();
 }
 
-Family ResultSet::emission_family() const {
-  Family family = records_.empty() ? Family::kRendezvous : records_[0].family;
+void ResultSet::check_schema() const {
+  if (records_.empty()) return;
+  const RunRecord& first = records_.front();
   for (const RunRecord& rec : records_) {
-    if (rec.family != family) {
+    if (rec.family != first.family) {
       throw std::logic_error(
           "ResultSet: emission needs a homogeneous family; split mixed runs "
           "with filtered()");
     }
-  }
-  return family;
-}
-
-std::vector<std::string> ResultSet::component_names() const {
-  std::vector<std::string> names;
-  if (records_.empty()) return names;
-  names.reserve(records_[0].components.size());
-  for (const Component& c : records_[0].components) names.push_back(c.name);
-  for (const RunRecord& rec : records_) {
-    bool same = rec.components.size() == names.size();
-    for (std::size_t i = 0; same && i < names.size(); ++i) {
-      same = rec.components[i].name == names[i];
+    bool same = rec.components.size() == first.components.size();
+    for (std::size_t i = 0; same && i < first.components.size(); ++i) {
+      same = rec.components[i].name == first.components[i].name;
     }
     if (!same) {
       throw std::logic_error(
@@ -197,138 +389,28 @@ std::vector<std::string> ResultSet::component_names() const {
           "disagree on component names");
     }
   }
-  return names;
 }
 
 io::CsvRow ResultSet::csv_header(const std::vector<Column>& extras) const {
-  io::CsvRow header;
-  if (any_label_) header.push_back("label");
-  switch (emission_family()) {
-    case Family::kRendezvous:
-      for (const char* name : kRendezvousColumns) header.push_back(name);
-      break;
-    case Family::kSearch:
-      for (const char* name : kSearchColumns) header.push_back(name);
-      break;
-    case Family::kGather:
-      for (const char* name : kGatherColumns) header.push_back(name);
-      break;
-    case Family::kLinear:
-      for (const char* name : kLinearColumns) header.push_back(name);
-      break;
-    case Family::kCoverage:
-      for (const char* name : kCoverageColumns) header.push_back(name);
-      break;
-  }
-  for (const std::string& name : component_names()) header.push_back(name);
-  for (const Column& col : extras) header.push_back(col.name);
-  return header;
+  check_schema();
+  // The first record names the columns; an empty set names those of a
+  // default record, i.e. the rendezvous header.
+  static const RunRecord kDefault{};
+  NameSink names;
+  visit_row(records_.empty() ? kDefault : records_.front(), any_label_,
+            extras, names);
+  return std::move(names.cells);
 }
 
 std::vector<io::CsvRow> ResultSet::csv_rows(
     const std::vector<Column>& extras) const {
-  (void)emission_family();   // reject mixed sets up front
-  (void)component_names();   // reject mismatched component schemas
+  check_schema();
   std::vector<io::CsvRow> rows;
   rows.reserve(records_.size());
   for (const RunRecord& rec : records_) {
-    io::CsvRow row;
-    if (any_label_) row.push_back(rec.label);
-    switch (rec.family) {
-      case Family::kRendezvous: {
-        const rendezvous::Scenario& s = rec.scenario;
-        const sim::SimResult& sim = rec.outcome.sim;
-        row.push_back(io::format_double(s.attrs.speed));
-        row.push_back(io::format_double(s.attrs.time_unit));
-        row.push_back(io::format_double(s.attrs.orientation));
-        row.push_back(std::to_string(s.attrs.chirality));
-        row.push_back(io::format_double(rec.outcome.initial_distance));
-        row.push_back(io::format_double(s.visibility));
-        row.push_back(rec.outcome.algorithm_name);
-        row.push_back(rendezvous::is_feasible(rec.outcome.feasibility) ? "1"
-                                                                       : "0");
-        row.push_back(sim.met ? "1" : "0");
-        row.push_back(io::format_double(sim.time));
-        row.push_back(io::format_double(sim.distance));
-        row.push_back(io::format_double(sim.min_distance));
-        row.push_back(std::to_string(sim.evals));
-        row.push_back(std::to_string(sim.segments));
-        break;
-      }
-      case Family::kSearch: {
-        const SearchCell& c = rec.search;
-        const SearchOutcome& o = rec.search_outcome;
-        row.push_back(io::format_double(c.distance));
-        row.push_back(io::format_double(c.visibility));
-        row.push_back(std::to_string(c.angles));
-        row.push_back(o.program_name);
-        row.push_back(std::to_string(o.found));
-        row.push_back(std::to_string(o.missed));
-        row.push_back(io::format_double(o.worst_time));
-        row.push_back(io::format_double(o.mean_time));
-        row.push_back(io::format_double(o.worst_angle));
-        row.push_back(std::to_string(o.evals));
-        row.push_back(std::to_string(o.segments));
-        break;
-      }
-      case Family::kGather: {
-        const GatherCell& c = rec.gather;
-        const GatherOutcome& o = rec.gather_outcome;
-        row.push_back(std::to_string(c.fleet.size()));
-        row.push_back(io::format_double(c.ring_radius));
-        row.push_back(io::format_double(c.visibility));
-        row.push_back(gather_algorithm_name(c));
-        row.push_back(o.contact.achieved ? "1" : "0");
-        row.push_back(io::format_double(o.contact.time));
-        row.push_back(std::to_string(o.contact.pair_i));
-        row.push_back(std::to_string(o.contact.pair_j));
-        row.push_back(o.gathered.achieved ? "1" : "0");
-        row.push_back(io::format_double(o.gathered.time));
-        row.push_back(io::format_double(o.gathered.min_max_pairwise));
-        row.push_back(std::to_string(o.contact.evals + o.gathered.evals));
-        row.push_back(
-            std::to_string(o.contact.segments + o.gathered.segments));
-        break;
-      }
-      case Family::kLinear: {
-        const LinearCell& c = rec.linear;
-        const LinearOutcome& o = rec.linear_outcome;
-        row.push_back(linear_mode_name(c.mode));
-        row.push_back(io::format_double(c.attrs.speed));
-        row.push_back(io::format_double(c.attrs.time_unit));
-        row.push_back(std::to_string(c.attrs.direction));
-        row.push_back(io::format_double(c.target));
-        row.push_back(io::format_double(c.visibility));
-        row.push_back(o.feasible ? "1" : "0");
-        row.push_back(o.sim.met ? "1" : "0");
-        row.push_back(io::format_double(o.sim.time));
-        row.push_back(io::format_double(o.sim.distance));
-        row.push_back(io::format_double(o.sim.min_distance));
-        row.push_back(std::to_string(o.sim.evals));
-        row.push_back(std::to_string(o.sim.segments));
-        break;
-      }
-      case Family::kCoverage: {
-        const CoverageCell& c = rec.coverage;
-        const CoverageOutcome& o = rec.coverage_outcome;
-        row.push_back(o.program_name);
-        row.push_back(io::format_double(c.disk_radius));
-        row.push_back(io::format_double(c.visibility));
-        row.push_back(io::format_double(c.cell));
-        row.push_back(std::to_string(c.checkpoints));
-        row.push_back(io::format_double(c.horizon));
-        row.push_back(io::format_double(o.t50));
-        row.push_back(io::format_double(o.t99));
-        row.push_back(io::format_double(o.final_fraction));
-        row.push_back(io::format_double(o.covered_area));
-        break;
-      }
-    }
-    for (const Component& c : rec.components) {
-      row.push_back(io::format_double(c.value));
-    }
-    for (const Column& col : extras) row.push_back(col.value(rec));
-    rows.push_back(std::move(row));
+    CsvSink row;
+    visit_row(rec, any_label_, extras, row);
+    rows.push_back(std::move(row.cells));
   }
   return rows;
 }
@@ -342,243 +424,26 @@ std::string ResultSet::to_csv(const std::vector<Column>& extras) const {
 }
 
 std::string ResultSet::to_json(const std::vector<Column>& extras) const {
-  (void)emission_family();   // reject mixed sets up front
-  (void)component_names();   // reject mismatched component schemas
-  std::ostringstream os;
-  os << "[";
+  check_schema();
+  std::string out = "[";
   for (std::size_t i = 0; i < records_.size(); ++i) {
-    const RunRecord& rec = records_[i];
-    os << (i == 0 ? "\n" : ",\n") << "  {";
-    if (any_label_) os << "\"label\": \"" << json_escape(rec.label) << "\", ";
-    switch (rec.family) {
-      case Family::kRendezvous: {
-        const rendezvous::Scenario& s = rec.scenario;
-        const sim::SimResult& sim = rec.outcome.sim;
-        os << "\"v\": " << json_number(s.attrs.speed)
-           << ", \"tau\": " << json_number(s.attrs.time_unit)
-           << ", \"phi\": " << json_number(s.attrs.orientation)
-           << ", \"chi\": " << s.attrs.chirality
-           << ", \"d\": " << json_number(rec.outcome.initial_distance)
-           << ", \"r\": " << json_number(s.visibility)
-           << ", \"algorithm\": \"" << json_escape(rec.outcome.algorithm_name)
-           << "\", \"feasible\": "
-           << (rendezvous::is_feasible(rec.outcome.feasibility) ? "true"
-                                                                : "false")
-           << ", \"met\": " << (sim.met ? "true" : "false")
-           << ", \"time\": " << json_number(sim.time)
-           << ", \"distance\": " << json_number(sim.distance)
-           << ", \"min_distance\": " << json_number(sim.min_distance)
-           << ", \"evals\": " << sim.evals
-           << ", \"segments\": " << sim.segments;
-        break;
-      }
-      case Family::kSearch: {
-        const SearchCell& c = rec.search;
-        const SearchOutcome& o = rec.search_outcome;
-        os << "\"d\": " << json_number(c.distance)
-           << ", \"r\": " << json_number(c.visibility)
-           << ", \"angles\": " << c.angles << ", \"program\": \""
-           << json_escape(o.program_name) << "\", \"found\": " << o.found
-           << ", \"missed\": " << o.missed
-           << ", \"worst_time\": " << json_number(o.worst_time)
-           << ", \"mean_time\": " << json_number(o.mean_time)
-           << ", \"worst_angle\": " << json_number(o.worst_angle)
-           << ", \"evals\": " << o.evals << ", \"segments\": " << o.segments;
-        break;
-      }
-      case Family::kGather: {
-        const GatherCell& c = rec.gather;
-        const GatherOutcome& o = rec.gather_outcome;
-        os << "\"n\": " << c.fleet.size()
-           << ", \"ring_radius\": " << json_number(c.ring_radius)
-           << ", \"r\": " << json_number(c.visibility) << ", \"algorithm\": \""
-           << json_escape(gather_algorithm_name(c)) << "\", \"contact\": "
-           << (o.contact.achieved ? "true" : "false")
-           << ", \"contact_time\": " << json_number(o.contact.time)
-           << ", \"pair_i\": " << o.contact.pair_i
-           << ", \"pair_j\": " << o.contact.pair_j << ", \"gathered\": "
-           << (o.gathered.achieved ? "true" : "false")
-           << ", \"gathered_time\": " << json_number(o.gathered.time)
-           << ", \"min_max_pairwise\": "
-           << json_number(o.gathered.min_max_pairwise)
-           << ", \"evals\": " << o.contact.evals + o.gathered.evals
-           << ", \"segments\": " << o.contact.segments + o.gathered.segments;
-        break;
-      }
-      case Family::kLinear: {
-        const LinearCell& c = rec.linear;
-        const LinearOutcome& o = rec.linear_outcome;
-        os << "\"mode\": \"" << linear_mode_name(c.mode) << "\", \"v\": "
-           << json_number(c.attrs.speed)
-           << ", \"tau\": " << json_number(c.attrs.time_unit)
-           << ", \"dir\": " << c.attrs.direction
-           << ", \"d\": " << json_number(c.target)
-           << ", \"r\": " << json_number(c.visibility)
-           << ", \"feasible\": " << (o.feasible ? "true" : "false")
-           << ", \"met\": " << (o.sim.met ? "true" : "false")
-           << ", \"time\": " << json_number(o.sim.time)
-           << ", \"distance\": " << json_number(o.sim.distance)
-           << ", \"min_distance\": " << json_number(o.sim.min_distance)
-           << ", \"evals\": " << o.sim.evals
-           << ", \"segments\": " << o.sim.segments;
-        break;
-      }
-      case Family::kCoverage: {
-        const CoverageCell& c = rec.coverage;
-        const CoverageOutcome& o = rec.coverage_outcome;
-        os << "\"program\": \"" << json_escape(o.program_name)
-           << "\", \"R\": " << json_number(c.disk_radius)
-           << ", \"r\": " << json_number(c.visibility)
-           << ", \"cell\": " << json_number(c.cell)
-           << ", \"checkpoints\": " << c.checkpoints
-           << ", \"horizon\": " << json_number(c.horizon)
-           << ", \"t50\": " << json_number(o.t50)
-           << ", \"t99\": " << json_number(o.t99)
-           << ", \"final_fraction\": " << json_number(o.final_fraction)
-           << ", \"covered_area\": " << json_number(o.covered_area);
-        break;
-      }
-    }
-    for (const Component& c : rec.components) {
-      os << ", \"" << json_escape(c.name) << "\": " << json_number(c.value);
-    }
-    for (const Column& col : extras) {
-      os << ", \"" << json_escape(col.name) << "\": \""
-         << json_escape(col.value(rec)) << "\"";
-    }
-    os << "}";
+    out += i == 0 ? "\n  {" : ",\n  {";
+    JsonSink members{out};
+    visit_row(records_[i], any_label_, extras, members);
+    out += '}';
   }
-  os << "\n]\n";
-  return os.str();
+  out += "\n]\n";
+  return out;
 }
 
 io::Table ResultSet::to_table(const std::vector<Column>& extras,
                               int precision) const {
-  const Family family = emission_family();
-  std::vector<std::string> names;
-  if (any_label_) names.push_back("label");
-  switch (family) {
-    case Family::kRendezvous:
-      for (const char* name : kRendezvousColumns) names.push_back(name);
-      break;
-    case Family::kSearch:
-      for (const char* name : kSearchColumns) names.push_back(name);
-      break;
-    case Family::kGather:
-      for (const char* name : kGatherColumns) names.push_back(name);
-      break;
-    case Family::kLinear:
-      for (const char* name : kLinearColumns) names.push_back(name);
-      break;
-    case Family::kCoverage:
-      for (const char* name : kCoverageColumns) names.push_back(name);
-      break;
-  }
-  for (const std::string& name : component_names()) names.push_back(name);
-  for (const Column& col : extras) names.push_back(col.name);
-  io::Table table(std::move(names));
+  io::Table table(csv_header(extras));
   if (any_label_) table.set_align(0, io::Align::kLeft);
   for (const RunRecord& rec : records_) {
-    std::vector<std::string> row;
-    if (any_label_) row.push_back(rec.label);
-    switch (rec.family) {
-      case Family::kRendezvous: {
-        const rendezvous::Scenario& s = rec.scenario;
-        const sim::SimResult& sim = rec.outcome.sim;
-        row.push_back(io::format_fixed(s.attrs.speed, 2));
-        row.push_back(io::format_fixed(s.attrs.time_unit, 3));
-        row.push_back(io::format_fixed(s.attrs.orientation, 3));
-        row.push_back(std::to_string(s.attrs.chirality));
-        row.push_back(io::format_fixed(rec.outcome.initial_distance, 2));
-        row.push_back(io::format_fixed(s.visibility, 3));
-        row.push_back(rec.outcome.algorithm_name);
-        row.push_back(rendezvous::is_feasible(rec.outcome.feasibility)
-                          ? "feasible"
-                          : "INFEASIBLE");
-        row.push_back(sim.met ? "yes" : "no");
-        row.push_back(io::format_fixed(sim.time, precision));
-        row.push_back(io::format_fixed(sim.distance, precision));
-        row.push_back(io::format_fixed(sim.min_distance, precision));
-        row.push_back(std::to_string(sim.evals));
-        row.push_back(std::to_string(sim.segments));
-        break;
-      }
-      case Family::kSearch: {
-        const SearchCell& c = rec.search;
-        const SearchOutcome& o = rec.search_outcome;
-        row.push_back(io::format_fixed(c.distance, 2));
-        row.push_back(io::format_fixed(c.visibility, 4));
-        row.push_back(std::to_string(c.angles));
-        row.push_back(o.program_name);
-        row.push_back(std::to_string(o.found));
-        row.push_back(std::to_string(o.missed));
-        row.push_back(io::format_fixed(o.worst_time, precision));
-        row.push_back(io::format_fixed(o.mean_time, precision));
-        row.push_back(io::format_fixed(o.worst_angle, 3));
-        row.push_back(std::to_string(o.evals));
-        row.push_back(std::to_string(o.segments));
-        break;
-      }
-      case Family::kGather: {
-        const GatherCell& c = rec.gather;
-        const GatherOutcome& o = rec.gather_outcome;
-        row.push_back(std::to_string(c.fleet.size()));
-        row.push_back(io::format_fixed(c.ring_radius, 2));
-        row.push_back(io::format_fixed(c.visibility, 3));
-        row.push_back(gather_algorithm_name(c));
-        row.push_back(o.contact.achieved ? "yes" : "no");
-        row.push_back(io::format_fixed(o.contact.time, precision));
-        row.push_back(std::to_string(o.contact.pair_i));
-        row.push_back(std::to_string(o.contact.pair_j));
-        row.push_back(o.gathered.achieved ? "yes" : "no");
-        row.push_back(io::format_fixed(o.gathered.time, precision));
-        row.push_back(io::format_fixed(o.gathered.min_max_pairwise, precision));
-        row.push_back(std::to_string(o.contact.evals + o.gathered.evals));
-        row.push_back(
-            std::to_string(o.contact.segments + o.gathered.segments));
-        break;
-      }
-      case Family::kLinear: {
-        const LinearCell& c = rec.linear;
-        const LinearOutcome& o = rec.linear_outcome;
-        row.push_back(linear_mode_name(c.mode));
-        row.push_back(io::format_fixed(c.attrs.speed, 2));
-        row.push_back(io::format_fixed(c.attrs.time_unit, 3));
-        row.push_back(std::to_string(c.attrs.direction));
-        row.push_back(io::format_fixed(c.target, 2));
-        row.push_back(io::format_fixed(c.visibility, 3));
-        row.push_back(o.feasible ? "feasible" : "INFEASIBLE");
-        row.push_back(o.sim.met ? "yes" : "no");
-        row.push_back(io::format_fixed(o.sim.time, precision));
-        row.push_back(io::format_fixed(o.sim.distance, precision));
-        row.push_back(io::format_fixed(o.sim.min_distance, precision));
-        row.push_back(std::to_string(o.sim.evals));
-        row.push_back(std::to_string(o.sim.segments));
-        break;
-      }
-      case Family::kCoverage: {
-        const CoverageCell& c = rec.coverage;
-        const CoverageOutcome& o = rec.coverage_outcome;
-        row.push_back(o.program_name);
-        row.push_back(io::format_fixed(c.disk_radius, 2));
-        row.push_back(io::format_fixed(c.visibility, 3));
-        row.push_back(io::format_fixed(c.cell, 3));
-        row.push_back(std::to_string(c.checkpoints));
-        row.push_back(io::format_fixed(c.horizon, 0));
-        row.push_back(o.t50 >= 0.0 ? io::format_fixed(o.t50, precision)
-                                   : ">horizon");
-        row.push_back(o.t99 >= 0.0 ? io::format_fixed(o.t99, precision)
-                                   : ">horizon");
-        row.push_back(io::format_fixed(o.final_fraction, 4));
-        row.push_back(io::format_fixed(o.covered_area, precision));
-        break;
-      }
-    }
-    for (const Component& c : rec.components) {
-      row.push_back(io::format_fixed(c.value, precision));
-    }
-    for (const Column& col : extras) row.push_back(col.value(rec));
-    table.add_row(std::move(row));
+    TableSink row(precision);
+    visit_row(rec, any_label_, extras, row);
+    table.add_row(std::move(row.cells));
   }
   return table;
 }
@@ -717,20 +582,6 @@ ResultSet run_scenarios(const std::vector<WorkItem>& work,
   result.set_cache_stats(
       {hits.load(), misses.load(), uncacheable.load()});
   return result;
-}
-
-ResultSet run_scenarios(const std::vector<LabeledScenario>& scenarios,
-                        RunnerOptions options) {
-  std::vector<WorkItem> work;
-  work.reserve(scenarios.size());
-  for (const LabeledScenario& ls : scenarios) {
-    WorkItem item;
-    item.family = Family::kRendezvous;
-    item.label = ls.label;
-    item.scenario = ls.scenario;
-    work.push_back(std::move(item));
-  }
-  return run_scenarios(work, options);
 }
 
 ResultSet run_scenarios(const ScenarioSet& set, RunnerOptions options) {

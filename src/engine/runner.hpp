@@ -14,21 +14,11 @@
 /// sweep parallelises embarrassingly; the search family's
 /// worst-over-angles reduction runs inside its item, in ring order.
 ///
-/// `ResultSet` is the io::Table-backed aggregate with *per-family
-/// standard columns*:
-///   * rendezvous — v, tau, phi, chi, d, r, algorithm, feasible, met,
-///     time, distance, min_distance, evals, segments;
-///   * search — d, r, angles, program, found, missed, worst_time,
-///     mean_time, worst_angle, evals, segments;
-///   * gather — n, ring_radius, r, algorithm, contact, contact_time,
-///     pair_i, pair_j, gathered, gathered_time, min_max_pairwise,
-///     evals, segments;
-///   * linear — mode, v, tau, dir, d, r, feasible, met, time, distance,
-///     min_distance, evals, segments;
-///   * coverage — program, R, r, cell, checkpoints, horizon, t50, t99,
-///     final_fraction, covered_area;
-/// then one column per component time (when the cells carry a
-/// component-times hook; names must agree across records), then
+/// `ResultSet` is the io::Table-backed aggregate.  Its columns are the
+/// family's standard columns, named once in that family's field list
+/// (`visit_fields` in runner.cpp), then one column per component time
+/// (when the cells carry a component-times hook; names must agree
+/// across records), then
 /// caller-supplied derived columns (bounds, ratios, certificates)
 /// computed from each record.  Emission requires a homogeneous family;
 /// mixed runs are split per family with `filtered()`.
@@ -192,14 +182,9 @@ class ResultSet {
   [[nodiscard]] std::string render(const std::string& format) const;
 
  private:
-  /// The single family of the records; \throws std::logic_error when
-  /// mixed (emission is per family).
-  [[nodiscard]] Family emission_family() const;
-
-  /// The component-column names shared by every record (empty when no
-  /// record carries components); \throws std::logic_error when records
-  /// disagree on names (emission needs one homogeneous schema).
-  [[nodiscard]] std::vector<std::string> component_names() const;
+  /// \throws std::logic_error unless every record has the same family
+  /// and the same component names (emission needs one schema).
+  void check_schema() const;
 
   std::vector<RunRecord> records_;
   bool any_label_ = false;
@@ -215,9 +200,5 @@ class ResultSet {
 /// Same, for an already-materialised multi-family work list.
 [[nodiscard]] ResultSet run_scenarios(const std::vector<WorkItem>& work,
                                       RunnerOptions options = {});
-
-/// Same, for a rendezvous-only list.
-[[nodiscard]] ResultSet run_scenarios(
-    const std::vector<LabeledScenario>& scenarios, RunnerOptions options = {});
 
 }  // namespace rv::engine

@@ -183,12 +183,6 @@ ScenarioSet& ScenarioSet::search_filter(
   return *this;
 }
 
-ScenarioSet& ScenarioSet::search_label(
-    std::function<std::string(const SearchCell&)> fn) {
-  search_label_fn_ = std::move(fn);
-  return *this;
-}
-
 ScenarioSet& ScenarioSet::search_components(SearchComponentsFn fn) {
   search_components_fn_ = std::move(fn);
   return *this;
@@ -224,11 +218,6 @@ ScenarioSet& ScenarioSet::gather_fleet(
 ScenarioSet& ScenarioSet::gather_label(
     std::function<std::string(const GatherCell&)> fn) {
   gather_label_fn_ = std::move(fn);
-  return *this;
-}
-
-ScenarioSet& ScenarioSet::gather_components(GatherComponentsFn fn) {
-  gather_components_fn_ = std::move(fn);
   return *this;
 }
 
@@ -324,20 +313,9 @@ ScenarioSet& ScenarioSet::coverage_horizon(
   return *this;
 }
 
-ScenarioSet& ScenarioSet::coverage_filter(
-    std::function<bool(const CoverageCell&)> fn) {
-  coverage_keep_fn_ = std::move(fn);
-  return *this;
-}
-
 ScenarioSet& ScenarioSet::coverage_label(
     std::function<std::string(const CoverageCell&)> fn) {
   coverage_label_fn_ = std::move(fn);
-  return *this;
-}
-
-ScenarioSet& ScenarioSet::coverage_components(CoverageComponentsFn fn) {
-  coverage_components_fn_ = std::move(fn);
   return *this;
 }
 
@@ -352,9 +330,7 @@ std::vector<WorkItem> ScenarioSet::materialize_work() const {
   // Set-level typed hooks, lifted once; per-cell hooks win.
   const ComponentsFn set_components = wrap(components_fn_);
   const ComponentsFn set_search_components = wrap(search_components_fn_);
-  const ComponentsFn set_gather_components = wrap(gather_components_fn_);
   const ComponentsFn set_linear_components = wrap(linear_components_fn_);
-  const ComponentsFn set_coverage_components = wrap(coverage_components_fn_);
 
   // ---- 1. rendezvous: explicit adds, then the attribute grid ----------
   auto emit = [&](rendezvous::Scenario s, std::string label,
@@ -418,7 +394,6 @@ std::vector<WorkItem> ScenarioSet::materialize_work() const {
                          const ComponentsFn& components) {
     if (search_keep_fn_ && !search_keep_fn_(cell)) return;
     if (search_horizon_fn_) cell.max_time = search_horizon_fn_(cell);
-    if (label.empty() && search_label_fn_) label = search_label_fn_(cell);
     WorkItem item;
     item.family = Family::kSearch;
     item.label = std::move(label);
@@ -464,7 +439,7 @@ std::vector<WorkItem> ScenarioSet::materialize_work() const {
     item.family = Family::kGather;
     item.label = std::move(label);
     item.gather = std::move(cell);
-    item.components = components ? components : set_gather_components;
+    item.components = components;
     item.components_only = components_only_;
     out.push_back(std::move(item));
   };
@@ -525,14 +500,13 @@ std::vector<WorkItem> ScenarioSet::materialize_work() const {
   // ---- 5. coverage: explicit adds, then programs ⊃ R ⊃ r --------------
   auto emit_coverage = [&](CoverageCell cell, std::string label,
                            const ComponentsFn& components) {
-    if (coverage_keep_fn_ && !coverage_keep_fn_(cell)) return;
     if (coverage_horizon_fn_) cell.horizon = coverage_horizon_fn_(cell);
     if (label.empty() && coverage_label_fn_) label = coverage_label_fn_(cell);
     WorkItem item;
     item.family = Family::kCoverage;
     item.label = std::move(label);
     item.coverage = std::move(cell);
-    item.components = components ? components : set_coverage_components;
+    item.components = components;
     item.components_only = components_only_;
     out.push_back(std::move(item));
   };
@@ -567,43 +541,6 @@ std::vector<WorkItem> ScenarioSet::materialize_work() const {
     }
   }
 
-  return out;
-}
-
-std::vector<LabeledScenario> ScenarioSet::materialize() const {
-  if (!explicit_search_.empty() || has_search_grid_ ||
-      !explicit_gather_.empty() || !gather_sizes_.empty() ||
-      !explicit_linear_.empty() || has_linear_grid_ ||
-      !explicit_coverage_.empty() || has_coverage_grid_) {
-    throw std::logic_error(
-        "ScenarioSet::materialize: set declares search/gather/linear/"
-        "coverage cells; use materialize_work()");
-  }
-  // LabeledScenario cannot carry component hooks or the
-  // components-only flag — refuse rather than silently dropping them
-  // (the WorkItem view preserves both).
-  if (components_only_ || components_fn_) {
-    throw std::logic_error(
-        "ScenarioSet::materialize: set declares component times; use "
-        "materialize_work()");
-  }
-  auto has_per_cell_hook = [](const std::vector<WorkItem>& items) {
-    for (const WorkItem& item : items) {
-      if (item.components) return true;
-    }
-    return false;
-  };
-  if (has_per_cell_hook(explicit_)) {
-    throw std::logic_error(
-        "ScenarioSet::materialize: set declares component times; use "
-        "materialize_work()");
-  }
-  std::vector<WorkItem> work = materialize_work();
-  std::vector<LabeledScenario> out;
-  out.reserve(work.size());
-  for (WorkItem& item : work) {
-    out.push_back({std::move(item.scenario), std::move(item.label)});
-  }
   return out;
 }
 

@@ -38,13 +38,6 @@
 
 namespace rv::engine {
 
-/// One materialised rendezvous scenario plus its display label (the
-/// historical rendezvous-only view; `WorkItem` is the general form).
-struct LabeledScenario {
-  rendezvous::Scenario scenario;
-  std::string label;
-};
-
 /// Typed component-times hooks, one per family: given the cell and its
 /// outcome, return the named sub-metric values (see `Components` in
 /// engine/families.hpp).  For components-only sets the outcome is
@@ -120,15 +113,13 @@ class ScenarioSet {
   ScenarioSet& search_horizon(std::function<double(const SearchCell&)> fn);
   /// Keep-predicate over search cells (e.g. "bound applicable").
   ScenarioSet& search_filter(std::function<bool(const SearchCell&)> fn);
-  /// Label generator for search cells without an explicit label.
-  ScenarioSet& search_label(std::function<std::string(const SearchCell&)> fn);
   /// Component-times hook for search cells without their own.
   ScenarioSet& search_components(SearchComponentsFn fn);
 
   // --- gather family ----------------------------------------------------
   /// Appends one explicit gathering cell (kept before the gather size
-  /// grid, in insertion order).  A non-null `components` overrides the
-  /// set-level hook for this cell.
+  /// grid, in insertion order).  A non-null `components` is this
+  /// cell's component-times hook.
   ScenarioSet& add_gather(GatherCell cell, std::string label = "",
                           GatherComponentsFn components = nullptr);
   /// Base cell for the gather size grid (ring, visibility, horizons).
@@ -142,8 +133,6 @@ class ScenarioSet {
       std::function<std::vector<geom::RobotAttributes>(int)> fleet_fn);
   /// Label generator for gather cells without an explicit label.
   ScenarioSet& gather_label(std::function<std::string(const GatherCell&)> fn);
-  /// Component-times hook for gather cells without their own.
-  ScenarioSet& gather_components(GatherComponentsFn fn);
 
   // --- linear family (1-D, [11]) ----------------------------------------
   /// Appends one explicit linear cell (kept before the linear grid, in
@@ -169,7 +158,7 @@ class ScenarioSet {
   // --- coverage family ([25] area accounting) ---------------------------
   /// Appends one explicit coverage cell (kept before the coverage grid,
   /// in insertion order).  The coverage hooks apply to these too.  A
-  /// non-null `components` overrides the set-level hook for this cell.
+  /// non-null `components` is this cell's component-times hook.
   ScenarioSet& add_coverage(CoverageCell cell, std::string label = "",
                             CoverageComponentsFn components = nullptr);
   /// Base cell for the coverage grid (grid resolution, checkpoints,
@@ -182,13 +171,9 @@ class ScenarioSet {
   ScenarioSet& coverage_radii(std::vector<double> values);
   /// Per-cell horizon rule (e.g. a multiple of the Theorem 1 time).
   ScenarioSet& coverage_horizon(std::function<double(const CoverageCell&)> fn);
-  /// Keep-predicate over coverage cells.
-  ScenarioSet& coverage_filter(std::function<bool(const CoverageCell&)> fn);
   /// Label generator for coverage cells without an explicit label.
   ScenarioSet& coverage_label(
       std::function<std::string(const CoverageCell&)> fn);
-  /// Component-times hook for coverage cells without their own.
-  ScenarioSet& coverage_components(CoverageComponentsFn fn);
 
   // --- set-wide knobs ---------------------------------------------------
   /// Marks every materialised cell components-only: the runner skips
@@ -201,13 +186,6 @@ class ScenarioSet {
   /// Expands the declaration into the concrete multi-family work list
   /// (the fixed materialisation order documented in the file comment).
   [[nodiscard]] std::vector<WorkItem> materialize_work() const;
-
-  /// Historical rendezvous-only view: the rendezvous items of
-  /// `materialize_work()`.  \throws std::logic_error if the set also
-  /// declares search, gather, linear or coverage cells, component
-  /// hooks, or `components_only()` — `LabeledScenario` cannot carry
-  /// those (use `materialize_work`).
-  [[nodiscard]] std::vector<LabeledScenario> materialize() const;
 
  private:
   // rendezvous (explicit adds are stored as work items so per-cell
@@ -233,7 +211,6 @@ class ScenarioSet {
   bool has_search_grid_ = false;
   std::function<double(const SearchCell&)> search_horizon_fn_;
   std::function<bool(const SearchCell&)> search_keep_fn_;
-  std::function<std::string(const SearchCell&)> search_label_fn_;
   SearchComponentsFn search_components_fn_;
   // gather
   std::vector<WorkItem> explicit_gather_;
@@ -241,7 +218,6 @@ class ScenarioSet {
   std::vector<int> gather_sizes_;
   std::function<std::vector<geom::RobotAttributes>(int)> gather_fleet_fn_;
   std::function<std::string(const GatherCell&)> gather_label_fn_;
-  GatherComponentsFn gather_components_fn_;
   // linear
   std::vector<WorkItem> explicit_linear_;
   LinearCell linear_base_;
@@ -260,9 +236,7 @@ class ScenarioSet {
   std::vector<double> coverage_radii_;
   bool has_coverage_grid_ = false;
   std::function<double(const CoverageCell&)> coverage_horizon_fn_;
-  std::function<bool(const CoverageCell&)> coverage_keep_fn_;
   std::function<std::string(const CoverageCell&)> coverage_label_fn_;
-  CoverageComponentsFn coverage_components_fn_;
   // set-wide
   bool components_only_ = false;
 };

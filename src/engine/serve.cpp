@@ -17,9 +17,12 @@
 #include "engine/set_decl.hpp"
 #include "engine/set_registry.hpp"
 #include "engine/shard.hpp"
+#include "io/json.hpp"
 
 namespace rv::engine::serve {
 namespace {
+
+using io::json_escape;
 
 /// Monotonic milliseconds — paces deadlines, latency counters and the
 /// compaction timer only; never feeds payload bytes (the supervisor's
@@ -28,32 +31,6 @@ double now_ms() {
   // rv-lint: allow(nondeterminism) — serve pacing/latency only, never output
   const auto t = std::chrono::steady_clock::now().time_since_epoch();
   return std::chrono::duration<double, std::milli>(t).count();
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    const unsigned char uc = static_cast<unsigned char>(c);
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (uc < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", uc);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 /// Fixed-precision milliseconds for status latency fields.

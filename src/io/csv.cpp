@@ -1,7 +1,7 @@
 #include "io/csv.hpp"
 
+#include <cstdio>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 namespace rv::io {
@@ -111,10 +111,15 @@ std::vector<CsvRow> parse_csv(const std::string& text) {
 }
 
 std::string format_double(double v, int precision) {
-  std::ostringstream oss;
-  oss.precision(precision);
-  oss << v;
-  return oss.str();
+  // "%.*g" is what an ostream prints for a double at `precision` with
+  // the default float field (libstdc++ formats through it), without
+  // building a stream per call.
+  char buf[32];
+  const int n = std::snprintf(buf, sizeof buf, "%.*g", precision, v);
+  if (n < static_cast<int>(sizeof buf)) return std::string(buf, n);
+  std::string out(static_cast<std::size_t>(n), '\0');
+  std::snprintf(out.data(), out.size() + 1, "%.*g", precision, v);
+  return out;
 }
 
 }  // namespace rv::io

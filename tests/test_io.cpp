@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 
 #include "io/args.hpp"
 #include "io/csv.hpp"
+#include "io/json.hpp"
 #include "io/table.hpp"
 
 namespace {
@@ -81,6 +83,30 @@ TEST(Csv, WriterRoundTripsThroughParser) {
 TEST(Csv, FormatDouble) {
   EXPECT_EQ(format_double(1.5), "1.5");
   EXPECT_EQ(format_double(2.0), "2");
+}
+
+// ---------------------------------------------------------------------------
+// JSON
+// ---------------------------------------------------------------------------
+
+TEST(Json, EscapeCoversQuoteBackslashNamedAndControlBytes) {
+  EXPECT_EQ(json_escape("plain"), "plain");
+  EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(json_escape("\b\f\n\r\t"), "\\b\\f\\n\\r\\t");
+  // Control bytes without a named escape become lower-case \u00XX.
+  EXPECT_EQ(json_escape(std::string("x\0y", 3)), "x\\u0000y");
+  EXPECT_EQ(json_escape("\x1b\x1f"), "\\u001b\\u001f");
+  // DEL and bytes of multi-byte UTF-8 pass through.
+  EXPECT_EQ(json_escape("\x7f\xc3\xa9"), "\x7f\xc3\xa9");
+}
+
+TEST(Json, NumbersUseTwelveDigitsAndNullForNonFinite) {
+  EXPECT_EQ(json_number(0.1), "0.1");
+  EXPECT_EQ(json_number(1.0 / 3.0), "0.333333333333");
+  EXPECT_EQ(json_number(-2e300), "-2e+300");
+  EXPECT_EQ(json_number(std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(json_number(std::numeric_limits<double>::quiet_NaN()),
+            "null");
 }
 
 // ---------------------------------------------------------------------------
