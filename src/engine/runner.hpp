@@ -18,10 +18,10 @@
 /// family's standard columns, named once in that family's field list
 /// (`visit_fields` in runner.cpp), then one column per component time
 /// (when the cells carry a component-times hook; names must agree
-/// across records), then
-/// caller-supplied derived columns (bounds, ratios, certificates)
-/// computed from each record.  Emission requires a homogeneous family;
-/// mixed runs are split per family with `filtered()`.
+/// across records), then caller-supplied derived columns (bounds,
+/// ratios, certificates) computed from each record.  Emission requires
+/// a homogeneous family; mixed runs are split per family with
+/// `filtered()`.
 
 #include <cstddef>
 #include <cstdint>
